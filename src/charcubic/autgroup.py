@@ -230,17 +230,19 @@ def is_automorphism(f: PolyMap, params=(0, 0, 0)) -> bool:
     return k.substitute({"x": fx, "y": fy, "z": fz}) == k
 
 
+# all 48 signed permutations with their maps, in a fixed order
+_SIGNED_PERMS = tuple(
+    (sp, sp.to_poly_map())
+    for sp in (SignedPerm(perm, signs)
+               for perm in sorted(permutations((0, 1, 2)))
+               for signs in product((1, -1), repeat=3)))
+
+
 def affine_stabilizer(params) -> list:
     """All signed permutations preserving the family member, by exhaustive
     check of the 48 candidates.  Deterministic order."""
     params = as_params(params)
-    out = []
-    for perm in sorted(permutations((0, 1, 2))):
-        for signs in product((1, -1), repeat=3):
-            sp = SignedPerm(perm, signs)
-            if sp.preserves(params):
-                out.append(sp)
-    return out
+    return [sp for sp, _ in _SIGNED_PERMS if sp.preserves(params)]
 
 
 def gamma_to_s4(f: PolyMap) -> tuple:
@@ -280,6 +282,10 @@ def horowitz_decompose(f: PolyMap, params=(0, 0, 0), verify_unique=False):
     therefore composes only the one candidate; with verify_unique=True it
     instead composes all three and checks directly that exactly one reduces.
 
+    The affine residue is looked up among the 48 signed-permutation maps, and
+    only the match is checked against the family member (one kappa
+    substitution).
+
     A map outside the group fails loudly: either no slot is a strict maximum,
     the candidate fails to reduce, or the affine residue is not a signed
     permutation preserving the family member.
@@ -311,10 +317,10 @@ def horowitz_decompose(f: PolyMap, params=(0, 0, 0), verify_unique=False):
                                  "map is not in the involution-generated group" % g.degree())
             g = candidate
         letters.append(name)
-    for sp in affine_stabilizer(params):
-        if sp.to_poly_map() == g:
-            return tuple(letters), sp
-    raise ValueError("affine residue %s does not preserve the family member" % g)
+    tail = next((sp for sp, sp_map in _SIGNED_PERMS if sp_map == g), None)
+    if tail is None or not tail.preserves(params):
+        raise ValueError("affine residue %s does not preserve the family member" % g)
+    return tuple(letters), tail
 
 
 def dehn_twist(name: str, params=(0, 0, 0)) -> PolyMap:

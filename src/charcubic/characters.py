@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .family import KappaParams, build_kappa
+from .matrices import Matrix
 
 
 class Sl2Matrix:
@@ -43,13 +44,13 @@ class Sl2Matrix:
         (a, b), (c, d) = rows
         return cls(a, b, c, d)
 
+    def _matrix(self) -> Matrix:
+        return Matrix(((self.a, self.b), (self.c, self.d)))
+
     def __mul__(self, other):
         if not isinstance(other, Sl2Matrix):
             return NotImplemented
-        return Sl2Matrix(self.a * other.a + self.b * other.c,
-                         self.a * other.b + self.b * other.d,
-                         self.c * other.a + self.d * other.c,
-                         self.c * other.b + self.d * other.d)
+        return Sl2Matrix.from_rows((self._matrix() * other._matrix()).rows)
 
     def inverse(self):
         return Sl2Matrix(self.d, -self.b, -self.c, self.a)

@@ -138,14 +138,6 @@ class CriticalPoint:
             self.degree(), mp, self.multiplicity, val)
 
 
-def _root_multiplicity(f, r):
-    m = 0
-    while uni.eval_at(f, r) == 0:
-        f = uni.exact_div(f, [-r, Fraction(1)])
-        m += 1
-    return m, f
-
-
 def _kappa_on_univariate(params, xs, ys, zs, modulus):
     """kappa_{P,Q,R}(x(s), y(s), z(s)) reduced mod the given monic polynomial."""
     p, q, r = params
@@ -205,7 +197,7 @@ def critical_points(params) -> list:
     rest = elim
     for eps in (1, -1):
         z0 = Fraction(2 * eps)
-        m, rest = _root_multiplicity(rest, z0)
+        m, rest = uni.root_multiplicity(rest, z0)
         if m == 0:
             continue
         quad = [eps * r - 4, Fraction(eps * p, 2), Fraction(1)]
@@ -214,12 +206,13 @@ def critical_points(params) -> list:
         if disc == 0:
             y0 = yroots[0][0]
             out.append(_rational_point(params, (p / 2 + eps * y0, y0, z0), m))
+        elif m != 2:
+            raise ArithmeticError("distinct branch roots force a double eliminant "
+                                  "root, found multiplicity %d" % m)
         elif yroots:
-            assert m == 2, "distinct branch roots force a double eliminant root"
             for y0, _ in yroots:
                 out.append(_rational_point(params, (p / 2 + eps * y0, y0, z0), 1))
         else:
-            assert m == 2, "distinct branch roots force a double eliminant root"
             xs = [p / 2, Fraction(eps)]  # x = P/2 + eps*y
             ys = [Fraction(0), Fraction(1)]
             zs = [z0]

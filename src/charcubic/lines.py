@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import univariate as uni
 from .matrices import Matrix
 from .sqrtalgebra import SqrtAlgebraElem, ZeroDivisorError, _sqrt_fraction, instantiation
 
@@ -72,19 +73,15 @@ def lines_on_fiber(t) -> list:
     a_minus = (rp - rm) * half
     two = SqrtAlgebraElem(t, 2)
 
-    def pl(c):
-        """plane constant as display text"""
-        return str(c)
-
     z_lines = [
-        Line("L1", "z", t, (rm, zero, two), (one, one, zero), "z = " + pl(two)),
-        Line("L2", "z", t, (-rm, zero, two), (one, one, zero), "z = " + pl(two)),
-        Line("L3", "z", t, (zero, zero, rp), (a_plus, one, zero), "z = " + pl(rp)),
-        Line("L4", "z", t, (zero, zero, rp), (a_minus, one, zero), "z = " + pl(rp)),
-        Line("L5", "z", t, (zero, zero, -rp), (-a_plus, one, zero), "z = " + pl(-rp)),
-        Line("L6", "z", t, (zero, zero, -rp), (-a_minus, one, zero), "z = " + pl(-rp)),
-        Line("L7", "z", t, (rm, zero, -two), (-one, one, zero), "z = " + pl(-two)),
-        Line("L8", "z", t, (-rm, zero, -two), (-one, one, zero), "z = " + pl(-two)),
+        Line("L1", "z", t, (rm, zero, two), (one, one, zero), "z = " + str(two)),
+        Line("L2", "z", t, (-rm, zero, two), (one, one, zero), "z = " + str(two)),
+        Line("L3", "z", t, (zero, zero, rp), (a_plus, one, zero), "z = " + str(rp)),
+        Line("L4", "z", t, (zero, zero, rp), (a_minus, one, zero), "z = " + str(rp)),
+        Line("L5", "z", t, (zero, zero, -rp), (-a_plus, one, zero), "z = " + str(-rp)),
+        Line("L6", "z", t, (zero, zero, -rp), (-a_minus, one, zero), "z = " + str(-rp)),
+        Line("L7", "z", t, (rm, zero, -two), (-one, one, zero), "z = " + str(-two)),
+        Line("L8", "z", t, (-rm, zero, -two), (-one, one, zero), "z = " + str(-two)),
     ]
     out = list(z_lines)
     # cyclic images: (x,y,z) -> (z,x,y) moves the constant coordinate to x,
@@ -98,33 +95,13 @@ def lines_on_fiber(t) -> list:
 
 
 def fiber_residual(line: Line) -> list:
-    """Coefficients (in the algebra, degree 0..3) of kappa(base + s*dir) - t
-    as a polynomial in the line parameter s; all zero iff the line lies on
-    the fiber."""
-    t = line.t
-    zero = SqrtAlgebraElem(t, 0)
-    comps = [[line.base[i], line.direction[i]] for i in range(3)]
-
-    def pmul(f, g):
-        out = [zero] * (len(f) + len(g) - 1)
-        for i, fi in enumerate(f):
-            for j, gj in enumerate(g):
-                out[i + j] = out[i + j] + fi * gj
-        return out
-
-    def padd(f, g):
-        n = max(len(f), len(g))
-        return [(f[i] if i < len(f) else zero) + (g[i] if i < len(g) else zero)
-                for i in range(n)]
-
-    def pneg(f):
-        return [-c for c in f]
-
-    acc = [SqrtAlgebraElem(t, -2 - t)]
-    for i in range(3):
-        acc = padd(acc, pmul(comps[i], comps[i]))
-    acc = padd(acc, pneg(pmul(pmul(comps[0], comps[1]), comps[2])))
-    return acc
+    """kappa(base + s*dir) - t as a univariate polynomial in the line
+    parameter s over the algebra: ascending coefficients with trailing zeros
+    trimmed, so [] exactly when the line lies on the fiber."""
+    x, y, z = ([line.base[i], line.direction[i]] for i in range(3))
+    acc = uni.add(uni.add(uni.mul(x, x), uni.mul(y, y)), uni.mul(z, z))
+    acc = uni.sub(acc, uni.mul(uni.mul(x, y), z))
+    return uni.add(acc, [SqrtAlgebraElem(line.t, -2 - line.t)])
 
 
 def line_contained_in_fiber(line: Line) -> bool:

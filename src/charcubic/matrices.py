@@ -226,8 +226,10 @@ def smith_normal_form(m: Matrix) -> SnfResult:
 
     d, um, vm = Matrix(a), Matrix(u), Matrix(v)
     # internal sanity: the transforms really are unimodular and consistent
-    assert abs(um.det()) == 1 and abs(vm.det()) == 1
-    assert um * m * vm == d
+    if abs(um.det()) != 1 or abs(vm.det()) != 1:
+        raise ArithmeticError("Smith normal form transforms are not unimodular")
+    if um * m * vm != d:
+        raise ArithmeticError("Smith normal form transforms do not give U*A*V = D")
     return SnfResult(d, um, vm)
 
 

@@ -11,19 +11,8 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .autgroup import GroupWord, SignedPerm, word_to_map
-
-_GENERATOR_MATRICES = {
-    "alpha": ((0, -1), (1, 0)),
-    "beta": ((1, -1), (1, 0)),
-    "gamma": ((-1, 0), (0, 1)),
-    "sigma_x": ((1, 0), (0, 1)),
-    "sigma_y": ((1, 0), (0, 1)),
-    "sigma_z": ((1, 0), (0, 1)),
-    "tau1": ((1, 0), (0, -1)),
-    "tau2": ((1, 0), (2, -1)),
-    "tau3": ((1, 2), (0, -1)),
-}
+from .autgroup import GroupWord
+from .matrices import Matrix
 
 
 class PglClass:
@@ -66,10 +55,7 @@ class PglClass:
     def __mul__(self, other):
         if not isinstance(other, PglClass):
             return NotImplemented
-        (a, b), (c, d) = self.rep
-        (e, f), (g, h) = other.rep
-        return PglClass(((a * e + b * g, a * f + b * h),
-                         (c * e + d * g, c * f + d * h)))
+        return PglClass((Matrix(self.rep) * Matrix(other.rep)).rows)
 
     def __eq__(self, other):
         if not isinstance(other, PglClass):
@@ -87,18 +73,28 @@ class PglClass:
         return "PglClass(%r)" % (self.rep,)
 
 
-def _pure_perm_class(sp: SignedPerm) -> PglClass:
-    """Image of a signed permutation: the sign part is in the kernel, the
-    permutation part is matched against short words in the cubic letters."""
-    target = SignedPerm(sp.perm).to_poly_map()
-    for letters in ((), ("beta",), ("beta", "beta"), ("gamma", "alpha"),
-                    ("beta", "gamma", "alpha"), ("beta", "beta", "gamma", "alpha")):
-        if word_to_map(letters) == target:
-            m = PglClass.identity()
-            for name in letters:
-                m = m * PglClass(_GENERATOR_MATRICES[name])
-            return m
-    raise AssertionError("unreachable: all six permutations are covered")
+# image of each letter
+_LETTER_CLASSES = {name: PglClass(rows) for name, rows in {
+    "alpha": ((0, -1), (1, 0)),
+    "beta": ((1, -1), (1, 0)),
+    "gamma": ((-1, 0), (0, 1)),
+    "sigma_x": ((1, 0), (0, 1)),
+    "sigma_y": ((1, 0), (0, 1)),
+    "sigma_z": ((1, 0), (0, 1)),
+    "tau1": ((1, 0), (0, -1)),
+    "tau2": ((1, 0), (2, -1)),
+    "tau3": ((1, 2), (0, -1)),
+}.items()}
+
+# image of each permutation part of a tail; the sign part is in the kernel
+_PERM_CLASSES = {perm: PglClass(rows) for perm, rows in {
+    (0, 1, 2): ((1, 0), (0, 1)),
+    (0, 2, 1): ((1, -1), (0, -1)),
+    (1, 0, 2): ((0, 1), (1, 0)),
+    (1, 2, 0): ((1, -1), (1, 0)),
+    (2, 0, 1): ((0, 1), (-1, 1)),
+    (2, 1, 0): ((1, 0), (1, -1)),
+}.items()}
 
 
 def word_to_pgl(word) -> PglClass:
@@ -109,11 +105,11 @@ def word_to_pgl(word) -> PglClass:
         letters, tail = tuple(word), None
     m = PglClass.identity()
     for name in letters:
-        if name not in _GENERATOR_MATRICES:
+        if name not in _LETTER_CLASSES:
             raise ValueError("unknown letter %r" % name)
-        m = m * PglClass(_GENERATOR_MATRICES[name])
+        m = m * _LETTER_CLASSES[name]
     if tail is not None:
-        m = m * _pure_perm_class(tail)
+        m = m * _PERM_CLASSES[tail.perm]
     return m
 
 

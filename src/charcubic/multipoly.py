@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+from .univariate import _join_terms
+
 Coeff = Union[int, Fraction]
 
 _FIELD = 16
@@ -344,22 +346,8 @@ class MultiPoly:
         return "*".join(bits)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for exps, c in self.terms():
-            mono = self._monomial_str(self.vars, exps)
-            neg = c < 0
-            mag = -c if neg else c
-            if mono:
-                body = mono if mag == 1 else "%s*%s" % (mag, mono)
-            else:
-                body = str(mag)
-            if not pieces:
-                pieces.append("-" + body if neg else body)
-            else:
-                pieces.append(("- " if neg else "+ ") + body)
-        return " ".join(pieces)
+        return _join_terms((c, self._monomial_str(self.vars, exps))
+                           for exps, c in self.terms())
 
     def __repr__(self) -> str:
         return "MultiPoly(%r, %s)" % (self.vars, str(self))
@@ -423,10 +411,6 @@ def map_compose(f: PolyMap, g: PolyMap) -> PolyMap:
     """(f o g)(p) = f(g(p)): substitute g's components into each component of f."""
     env = dict(zip(MAP_VARS, g.components))
     return PolyMap(tuple(c.substitute(env) for c in f.components))
-
-
-def map_eval(f: PolyMap, point: Sequence[Coeff]) -> tuple:
-    return f(point)
 
 
 def jacobian_determinant(f: PolyMap) -> MultiPoly:

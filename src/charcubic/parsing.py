@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .autgroup import ALL_LETTERS, GroupWord, SignedPerm
+from .autgroup import GroupWord, SignedPerm
 from .matrices import Matrix
 from .multipoly import MAP_VARS, MultiPoly, PolyMap
 
@@ -254,6 +254,3 @@ def word_tokens(word: GroupWord) -> str:
     if word.tail is not None and not word.tail.is_identity():
         bits.append(str(word.tail))
     return " ".join(bits)
-
-
-assert all(name in LETTER_TO_TOKEN for name in ALL_LETTERS)

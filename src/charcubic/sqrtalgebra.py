@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .univariate import _join_terms
+
 
 class ZeroDivisorError(ArithmeticError):
     """Raised when inverting an element with vanishing norm."""
@@ -67,6 +69,9 @@ class SqrtAlgebraElem:
 
     def is_zero(self):
         return not (self.a or self.b or self.c or self.d)
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def is_rational(self):
         return not (self.b or self.c or self.d)
@@ -162,22 +167,7 @@ class SqrtAlgebraElem:
     __hash__ = None
 
     def __str__(self):
-        names = ("", "rm", "rp", "rm*rp")
-        bits = []
-        for coeff, name in zip(self.coords(), names):
-            if not coeff:
-                continue
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            if name:
-                body = name if mag == 1 else "%s*%s" % (mag, name)
-            else:
-                body = str(mag)
-            if not bits:
-                bits.append("-" + body if neg else body)
-            else:
-                bits.append(("- " if neg else "+ ") + body)
-        return " ".join(bits) if bits else "0"
+        return _join_terms(zip(self.coords(), ("", "rm", "rp", "rm*rp")))
 
     def __repr__(self):
         return "SqrtAlgebraElem(t=%s: %s)" % (self.t, self)

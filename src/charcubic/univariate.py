@@ -154,6 +154,17 @@ def squarefree_decomposition(f):
     return out
 
 
+def root_multiplicity(f, r):
+    """(m, q) with f = (z - r)^m * q and q(r) != 0; f must be nonzero."""
+    if not f:
+        raise ValueError("the zero polynomial vanishes to every order")
+    m = 0
+    while eval_at(f, r) == 0:
+        f = exact_div(f, [-r, 1])
+        m += 1
+    return m, f
+
+
 def _divisors(n):
     n = abs(n)
     out = []
@@ -197,12 +208,7 @@ def rational_roots(f):
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))
     for r in sorted(cands):
-        m = 0
-        while eval_at(f, r) == 0:
-            f = exact_div(f, [-r, 1])
-            m += 1
-            if degree(f) < 1:
-                break
+        m, f = root_multiplicity(f, r)
         if m:
             roots.append((r, m))
         if degree(f) < 1:
@@ -237,25 +243,28 @@ def split_even_factor(f):
     return quads, trim(rest)
 
 
-def to_string(f, name="z"):
-    """Human-readable form, highest degree first."""
-    if not f:
-        return "0"
+def _join_terms(pairs):
+    """Signed-sum text of (coefficient, monomial text) pairs, in the given
+    order; "" is the unit monomial, a unit coefficient is elided, zero
+    coefficients are skipped, and an empty sum prints as 0."""
     bits = []
-    for i in range(len(f) - 1, -1, -1):
-        c = f[i]
+    for c, mono in pairs:
         if not c:
             continue
         neg = c < 0
         mag = -c if neg else c
-        if i == 0:
+        if not mono:
             body = str(mag)
-        elif i == 1:
-            body = name if mag == 1 else "%s*%s" % (mag, name)
         else:
-            body = "%s^%d" % (name, i) if mag == 1 else "%s*%s^%d" % (mag, name, i)
+            body = mono if mag == 1 else "%s*%s" % (mag, mono)
         if not bits:
             bits.append("-" + body if neg else body)
         else:
             bits.append(("- " if neg else "+ ") + body)
     return " ".join(bits) if bits else "0"
+
+
+def to_string(f, name="z"):
+    """Human-readable form, highest degree first."""
+    monos = ["", name] + ["%s^%d" % (name, i) for i in range(2, len(f))]
+    return _join_terms(reversed(list(zip(f, monos))))

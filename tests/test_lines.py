@@ -1,13 +1,17 @@
 """The 24 lines on a smooth fiber, incidence counts, and the class Gram matrix."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from charcubic import univariate as uni
 from charcubic.homology import VANISHING_CYCLE_GRAM
 from charcubic.lines import (class_gram, fiber_residual, line_contained_in_fiber,
                              line_incidence, lines_on_fiber)
-from charcubic.sqrtalgebra import ZeroDivisorError
+from charcubic.sqrtalgebra import SqrtAlgebraElem, ZeroDivisorError
 
 T = Fraction(17, 4)
 
@@ -52,6 +56,33 @@ def test_perturbed_line_rejected():
                       base=(l1.base[0] + 1, l1.base[1], l1.base[2]),
                       direction=l1.direction, plane=l1.plane)
     assert not line_contained_in_fiber(bumped)
+
+
+def test_residual_is_trimmed():
+    assert fiber_residual(by_key(T)[("z", "L1")]) == []
+    assert fiber_residual(by_key(5)[("x", "L4")]) == []
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_bumps = st.lists(st.tuples(_small, _small, _small, _small), min_size=6, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([T, Fraction(5), Fraction(3), Fraction(-7, 3), Fraction(11)]),
+       st.integers(0, 23), _bumps, st.booleans())
+def test_residual_agrees_with_direct_evaluation(t, index, bumps, bump):
+    ln = lines_on_fiber(t)[index]
+    if bump:
+        shift = [SqrtAlgebraElem(t, *b) for b in bumps]
+        ln = dataclasses.replace(
+            ln, base=tuple(c + d for c, d in zip(ln.base, shift[:3])),
+            direction=tuple(c + d for c, d in zip(ln.direction, shift[3:])))
+    res = fiber_residual(ln)
+    assert not res or res[-1]
+    for s in range(4):
+        x, y, z = (b + s * d for b, d in zip(ln.base, ln.direction))
+        direct = x * x + y * y + z * z - x * y * z - 2 - t
+        assert uni.eval_at(res, s) == direct
 
 
 def test_singular_levels_rejected():

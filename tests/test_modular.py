@@ -1,9 +1,11 @@
 """The 2x2 shadow: classes up to sign, characters, congruence membership."""
 
 import random
+from itertools import permutations, product
 
 import pytest
 
+from charcubic.autgroup import GroupWord, SignedPerm, word_to_map
 from charcubic.modular import (PglCharacters, PglClass, mod2_cycle_string,
                                pgl_characters, word_to_pgl)
 
@@ -83,3 +85,24 @@ def test_mod2_cycle_string():
     assert mod2_cycle_string((0, 1, 2)) == "identity"
     assert mod2_cycle_string((1, 0, 2)) == "(e1 e2)"
     assert mod2_cycle_string((1, 2, 0)) == "(e1 e2 e1+e2)"
+
+
+def _searched_perm_class(sp):
+    """Reference image of a tail: the sign part is in the kernel, and the
+    permutation part is matched against short words in the cubic letters by
+    composing their maps."""
+    target = SignedPerm(sp.perm).to_poly_map()
+    for letters in ((), ("beta",), ("beta", "beta"), ("gamma", "alpha"),
+                    ("beta", "gamma", "alpha"), ("beta", "beta", "gamma", "alpha")):
+        if word_to_map(letters) == target:
+            return word_to_pgl(letters)
+    raise LookupError("no short word matches %s" % sp)
+
+
+def test_tail_table_matches_the_word_search_on_all_signed_perms():
+    for perm in permutations((0, 1, 2)):
+        for signs in product((1, -1), repeat=3):
+            sp = SignedPerm(perm, signs)
+            assert word_to_pgl(GroupWord((), sp)) == _searched_perm_class(sp)
+            assert word_to_pgl(GroupWord(("tau2", "beta"), sp)) == \
+                word_to_pgl(("tau2", "beta")) * _searched_perm_class(sp)

@@ -6,11 +6,14 @@ import string
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charcubic.autgroup import GroupWord, SignedPerm, dehn_twist, word_to_map
+from charcubic.autgroup import (ALL_LETTERS, GroupWord, SignedPerm, dehn_twist,
+                                word_to_map)
 from charcubic.cli import run
 from charcubic.multipoly import MAP_VARS, MultiPoly
-from charcubic.parsing import (ParseError, parse_matrix, parse_poly,
+from charcubic.parsing import (LETTER_TO_TOKEN, ParseError, parse_matrix, parse_poly,
                                parse_poly_map, parse_rational, parse_triple,
                                parse_word, word_tokens)
 
@@ -70,6 +73,17 @@ def test_poly_print_parse_round_trip():
         assert parse_poly(str(acc)) == acc
 
 
+_small_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_small_exps = st.tuples(*[st.integers(0, 3)] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_small_exps, _small_coeffs, max_size=8))
+def test_printed_polynomials_parse_back(terms):
+    p = MultiPoly(MAP_VARS, terms)
+    assert parse_poly(str(p)) == p
+
+
 def test_parse_poly_map_and_round_trip():
     pm = parse_poly_map("x; x^2*y - x*z - y; x*y - z")
     assert pm == dehn_twist("X")
@@ -93,6 +107,10 @@ def test_parse_word():
                 "perm(xyz)flip(xx)", "perm(xy)"):
         with pytest.raises(ParseError):
             parse_word(bad)
+
+
+def test_every_letter_has_a_token():
+    assert set(LETTER_TO_TOKEN) == set(ALL_LETTERS)
 
 
 def test_word_print_parse_round_trip():

@@ -97,6 +97,15 @@ def test_rational_roots():
     assert roots2 == [] and uni.monic(rest2) == [1, 0, 1]
 
 
+def test_root_multiplicity():
+    # (z - 2)^3 (z + 1)
+    f = uni.mul(uni.mul([-2, 1], uni.mul([-2, 1], [-2, 1])), [1, 1])
+    assert uni.root_multiplicity(f, 2) == (3, [1, 1])
+    assert uni.root_multiplicity(f, Fraction(1, 2)) == (0, f)
+    with pytest.raises(ValueError):
+        uni.root_multiplicity([], 2)
+
+
 def test_even_split():
     # z^4 - 5 z^2 + 4 = (z^2-1)(z^2-4): even in z, splits in w = z^2
     quads, rest = uni.split_even_factor([4, 0, -5, 0, 1])
@@ -110,3 +119,5 @@ def test_even_split():
 def test_to_string():
     assert uni.to_string([Fraction(-3, 2), 0, 1], "z") == "z^2 - 3/2"
     assert uni.to_string([0], "z") == "0"
+    assert uni.to_string([-1, 0, Fraction(-1, 2), -1], "v") == "-v^3 - 1/2*v^2 - 1"
+    assert uni.to_string([0, 1]) == "z"

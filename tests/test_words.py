@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -12,6 +13,7 @@ from charcubic.autgroup import (ALL_LETTERS, FOUR_POINTS, GAMMA_LETTERS,
                                 reduce_tau_word, sign_character, word_to_map)
 from charcubic.family import build_kappa
 from charcubic.multipoly import MAP_VARS, MultiPoly, PolyMap, jacobian_determinant
+from charcubic.parsing import parse_poly_map
 
 
 def rand_params(rng, bound=4, den=3):
@@ -252,3 +254,38 @@ def test_mismatched_parameters_detected():
     assert not is_automorphism(f, (0, 0, 0))
     with pytest.raises(ValueError):
         horowitz_decompose(f, (0, 0, 0))
+
+
+def _scanned_tail(g, params):
+    """Reference tail of a degree-1 residue: scan all 48 signed permutations,
+    keep those preserving the family member, and match the residue."""
+    for perm in sorted(permutations((0, 1, 2))):
+        for signs in product((1, -1), repeat=3):
+            sp = SignedPerm(perm, signs)
+            if is_automorphism(sp.to_poly_map(), params) and sp.to_poly_map() == g:
+                return sp
+    raise ValueError("affine residue %s does not preserve the family member" % g)
+
+
+@pytest.mark.parametrize("params", [(0, 0, 0), (1, -2, 3), (1, 1, 1)])
+def test_tail_lookup_matches_the_stabilizer_scan(params):
+    members = affine_stabilizer(params)
+    assert members
+    for sp in members:
+        g = sp.to_poly_map()
+        assert horowitz_decompose(g, params) == ((), _scanned_tail(g, params))
+        f = word_to_map(GroupWord(("tau1", "tau3"), sp), params)
+        assert horowitz_decompose(f, params) == (("tau1", "tau3"), sp)
+
+
+@pytest.mark.parametrize("residue,params", [("x + 1; y; z", (0, 0, 0)),
+                                            ("y; x; z", (1, 2, 3))])
+def test_tail_lookup_rejects_what_the_scan_rejects(residue, params):
+    g = parse_poly_map(residue)
+    with pytest.raises(ValueError) as scanned:
+        _scanned_tail(g, params)
+    with pytest.raises(ValueError) as looked_up:
+        horowitz_decompose(g, params)
+    assert str(looked_up.value) == str(scanned.value)
+    assert str(scanned.value) == \
+        "affine residue %s does not preserve the family member" % residue
