@@ -8,8 +8,8 @@ computed over the rationals with no floating point and no tolerances.
 """
 
 from .autgroup import (ALL_LETTERS, FOUR_POINTS, GAMMA_LETTERS, TAU_LETTERS,
-                       GroupWord, SignedPerm, affine_stabilizer, dehn_twist,
-                       gamma_to_s4, generator, horowitz_decompose,
+                       GroupWord, SignedPerm, affine_stabilizer, apply_word,
+                       dehn_twist, gamma_to_s4, generator, horowitz_decompose,
                        is_automorphism, reduce_tau_word, sign_character,
                        word_to_map)
 from .characters import (BoundaryTraces, Sl2Matrix, SphereCharacter,
@@ -40,7 +40,7 @@ __all__ = [
     "MultiPoly", "ParseError", "PglCharacters", "PglClass", "PolyMap",
     "SignedPerm", "Sl2Matrix", "SnfResult", "SphereCharacter",
     "SqrtAlgebraElem", "TAU_LETTERS", "TorusCharacter",
-    "VANISHING_CYCLE_GRAM", "ZeroDivisorError", "affine_stabilizer",
+    "VANISHING_CYCLE_GRAM", "ZeroDivisorError", "affine_stabilizer", "apply_word",
     "as_params", "basis_change", "build_kappa", "char_poly", "class_gram",
     "cokernel", "critical_points", "critical_values", "dehn_twist",
     "eliminant", "fiber_is_smooth", "fiber_residual", "gamma_to_s4",

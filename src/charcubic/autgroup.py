@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
 from typing import Optional
 
@@ -22,13 +23,6 @@ from .multipoly import (MAP_VARS, MultiPoly, PolyMap, jacobian_determinant,
 GAMMA_LETTERS = ("alpha", "beta", "gamma", "sigma_x", "sigma_y", "sigma_z")
 TAU_LETTERS = ("tau1", "tau2", "tau3")
 ALL_LETTERS = GAMMA_LETTERS + TAU_LETTERS
-
-# Jacobian determinant of each generator map (all are constants)
-LETTER_SIGNS = {
-    "alpha": 1, "beta": 1, "gamma": -1,
-    "sigma_x": 1, "sigma_y": 1, "sigma_z": 1,
-    "tau1": -1, "tau2": -1, "tau3": -1,
-}
 
 # the four distinguished rational critical points of the parameter-free member
 FOUR_POINTS = (
@@ -153,6 +147,11 @@ def generator(name: str, params=(0, 0, 0)) -> PolyMap:
     raise ValueError("unknown letter %r" % name)
 
 
+# Jacobian determinant of each generator map (all are constants)
+LETTER_SIGNS = {name: jacobian_determinant(generator(name)).constant_value()
+                for name in ALL_LETTERS}
+
+
 @dataclass(frozen=True)
 class GroupWord:
     """An ordered tuple of letters plus an optional trailing signed permutation
@@ -166,6 +165,11 @@ class GroupWord:
         for name in self.letters:
             if name not in ALL_LETTERS:
                 raise ValueError("unknown letter %r" % name)
+
+    @classmethod
+    def of(cls, word) -> "GroupWord":
+        """A GroupWord unchanged, or a letter sequence as a word without tail."""
+        return word if isinstance(word, GroupWord) else cls(word)
 
     def __len__(self):
         return len(self.letters)
@@ -196,30 +200,32 @@ def reduce_tau_word(letters) -> tuple:
 def word_to_map(word, params=(0, 0, 0)) -> PolyMap:
     """Compose the word's letters (and trailing signed permutation) in order."""
     params = as_params(params)
-    if isinstance(word, GroupWord):
-        letters, tail = word.letters, word.tail
-    else:
-        letters, tail = tuple(word), None
-    f = tail.to_poly_map() if tail is not None else PolyMap.identity()
-    for name in reversed(letters):
+    word = GroupWord.of(word)
+    f = word.tail.to_poly_map() if word.tail is not None else PolyMap.identity()
+    for name in reversed(word.letters):
         f = map_compose(generator(name, params), f)
     return f
+
+
+def apply_word(word, point, params=(0, 0, 0)) -> tuple:
+    """word_to_map(word, params)(point), int where integral, computed one
+    letter at a time (rightmost first) without composing the word's map."""
+    params = as_params(params)
+    word = GroupWord.of(word)
+    f = word.tail.to_poly_map() if word.tail is not None else PolyMap.identity()
+    point = f(point)
+    for name in reversed(word.letters):
+        point = generator(name, params)(point)
+    return point
 
 
 def sign_character(word, params=(0, 0, 0)) -> int:
     """Product of the letters' constant Jacobian determinants, times the
     trailing permutation's sign; equals the Jacobian of word_to_map."""
-    if isinstance(word, GroupWord):
-        letters, tail = word.letters, word.tail
-    else:
-        letters, tail = tuple(word), None
-    sign = 1
-    for name in letters:
-        if name not in LETTER_SIGNS:
-            raise ValueError("unknown letter %r" % name)
+    word = GroupWord.of(word)
+    sign = word.tail.jacobian_sign() if word.tail is not None else 1
+    for name in word.letters:
         sign *= LETTER_SIGNS[name]
-    if tail is not None:
-        sign *= tail.jacobian_sign()
     return sign
 
 
@@ -245,22 +251,27 @@ def affine_stabilizer(params) -> list:
     return [sp for sp, _ in _SIGNED_PERMS if sp.preserves(params)]
 
 
-def gamma_to_s4(f: PolyMap) -> tuple:
+def gamma_to_s4(f) -> tuple:
     """(permutation of the four distinguished points, constant Jacobian sign).
 
-    The permutation is returned as a tuple m with f(point_i) = point_{m[i]}
-    (0-indexed).  Raises ValueError when an image misses the point list or the
-    Jacobian is not a constant +-1; both certify f is not an automorphism of
-    the parameter-free member.
+    f is a PolyMap, or a parameter-free word read through apply_word and
+    sign_character.  The permutation is a tuple m with f(point_i) =
+    point_{m[i]} (0-indexed).  Raises ValueError when an image misses the point
+    list or the Jacobian is not a constant +-1; both certify f is not an
+    automorphism of the parameter-free member.
     """
+    word = None if isinstance(f, PolyMap) else GroupWord.of(f)
+    image = f if word is None else partial(apply_word, word)
     images = []
     for pt in FOUR_POINTS:
-        q = f(pt)
+        q = image(pt)
         if q not in FOUR_POINTS:
             raise ValueError("image %s of %s is not a distinguished point" % (q, pt))
         images.append(FOUR_POINTS.index(q))
     if sorted(images) != [0, 1, 2, 3]:
         raise ValueError("map does not permute the four distinguished points")
+    if word is not None:
+        return tuple(images), sign_character(word)
     jac = jacobian_determinant(f)
     if not jac.is_constant() or jac.constant_value() not in (1, -1):
         raise ValueError("Jacobian determinant is not a constant +-1: %s" % jac)
@@ -299,7 +310,7 @@ def horowitz_decompose(f: PolyMap, params=(0, 0, 0), verify_unique=False):
             reducers = [(name, map_compose(taus[name], g)) for name in TAU_LETTERS]
             reducers = [(n, c) for n, c in reducers if c.degree() < g.degree()]
             if len(reducers) > 1:
-                raise AssertionError("degree reduction is not unique at %s" % g)
+                raise ArithmeticError("degree reduction is not unique at %s" % g)
             if not reducers:
                 raise ValueError("reduction stalls at degree %d: "
                                  "map is not in the involution-generated group" % g.degree())
@@ -324,12 +335,8 @@ def horowitz_decompose(f: PolyMap, params=(0, 0, 0), verify_unique=False):
 
 
 def dehn_twist(name: str, params=(0, 0, 0)) -> PolyMap:
-    """The two twist maps in closed form (equal to the two-letter words
-    [tau3, tau1] and [tau1, tau2] respectively)."""
-    p, q, r = as_params(params)
-    x, y, z = MultiPoly.gens(*MAP_VARS)
-    if name == "X":
-        return PolyMap((x, x * x * y - x * z + r * x - y + q, x * y - z + r))
-    if name == "Y":
-        return PolyMap((y * z - x + p, y, y * y * z - x * y + p * y - z + r))
-    raise ValueError("twist name must be 'X' or 'Y', got %r" % name)
+    """The twist X = tau3 o tau1, (x, x^2 y - x z + R x - y + Q, x y - z + R),
+    or Y = tau1 o tau2, (y z - x + P, y, y^2 z - x y + P y - z + R)."""
+    if name not in ("X", "Y"):
+        raise ValueError("twist name must be 'X' or 'Y', got %r" % name)
+    return word_to_map(("tau3", "tau1") if name == "X" else ("tau1", "tau2"), params)

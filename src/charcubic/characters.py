@@ -107,14 +107,14 @@ class TorusCharacter(NamedTuple):
 def torus_character(a: Sl2Matrix, b: Sl2Matrix) -> TorusCharacter:
     """(tr A, tr B, tr AB, tr ABA^-1B^-1); the first three land on the fiber
     of the parameter-free member at the commutator trace (trace identity,
-    asserted internally)."""
+    checked internally)."""
     x = a.trace()
     y = b.trace()
     z = (a * b).trace()
     comm = (a * b * a.inverse() * b.inverse()).trace()
     k = build_kappa((0, 0, 0))
     if k.evaluate({"x": x, "y": y, "z": z}) != comm:
-        raise AssertionError("trace identity failed; input matrices not unimodular?")
+        raise ArithmeticError("trace identity failed; input matrices not unimodular?")
     return TorusCharacter(x=x, y=y, z=z, commutator_trace=comm)
 
 

@@ -13,8 +13,8 @@ import re
 import sys
 
 from . import __version__, univariate as uni
-from .autgroup import (GroupWord, horowitz_decompose, is_automorphism,
-                       word_to_map)
+from .autgroup import (GroupWord, apply_word, horowitz_decompose,
+                       is_automorphism, word_to_map)
 from .characters import (BoundaryTraces, Sl2Matrix, sphere_character,
                          torus_character, traces_to_params)
 from .family import build_kappa, critical_points, critical_values
@@ -100,12 +100,12 @@ def _cmd_aut_check(args) -> int:
 
 
 def _cmd_aut_apply(args) -> int:
-    f = word_to_map(args.word, args.params)
     if args.point is not None:
-        image = f(args.point)
+        image = apply_word(args.word, args.point, args.params)
         return _emit(args, ["(%s)" % ", ".join(str(c) for c in image)],
                      {"point": [str(c) for c in args.point],
                       "image": [str(c) for c in image]})
+    f = word_to_map(args.word, args.params)
     return _emit(args, [str(f)], {"map": [str(c) for c in f.components]})
 
 
@@ -122,8 +122,7 @@ def _cmd_aut_decompose(args) -> int:
 
 
 def _cmd_homology_action(args) -> int:
-    f = word_to_map(args.word, (0, 0, 0))
-    m = homology_action(f)
+    m = homology_action(args.word)
     return _emit(args, _matrix_lines(m),
                  {"word": list(args.word.letters), "matrix": _int_rows(m)})
 

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from .autgroup import gamma_to_s4
 from .matrices import Matrix, cokernel
-from .multipoly import PolyMap
 
 VANISHING_CYCLE_GRAM = Matrix([
     [-2, 0, 0, 0, 1],
@@ -66,13 +65,13 @@ def basis_change() -> Matrix:
     return BASIS_CHANGE
 
 
-def homology_action(f: PolyMap) -> Matrix:
+def homology_action(f) -> Matrix:
     """The induced 5x5 integer matrix, acting on column vectors.
 
-    With (m, sign) the four-point permutation and Jacobian sign of f, the
-    matrix is sign * (permutation matrix with entry [m[i]][i] = 1, plus a
-    fifth coordinate fixed up to the same sign).  This pushforward convention
-    makes the assignment a homomorphism: action(f o g) = action(f) * action(g).
+    f is a PolyMap or a parameter-free word (read letter by letter).  With
+    (m, sign) = gamma_to_s4(f), the matrix is sign * (the permutation matrix
+    with entries [m[i]][i] = 1, plus a fixed fifth coordinate); pushing
+    forward makes it a homomorphism: action(f o g) = action(f) * action(g).
     """
     perm, sign = gamma_to_s4(f)
     rows = [[0] * 5 for _ in range(5)]

@@ -99,17 +99,12 @@ _PERM_CLASSES = {perm: PglClass(rows) for perm, rows in {
 
 def word_to_pgl(word) -> PglClass:
     """Product of the letters' matrices in word order, as a class."""
-    if isinstance(word, GroupWord):
-        letters, tail = word.letters, word.tail
-    else:
-        letters, tail = tuple(word), None
+    word = GroupWord.of(word)
     m = PglClass.identity()
-    for name in letters:
-        if name not in _LETTER_CLASSES:
-            raise ValueError("unknown letter %r" % name)
+    for name in word.letters:
         m = m * _LETTER_CLASSES[name]
-    if tail is not None:
-        m = m * _PERM_CLASSES[tail.perm]
+    if word.tail is not None:
+        m = m * _PERM_CLASSES[word.tail.perm]
     return m
 
 

@@ -136,7 +136,7 @@ class SqrtAlgebraElem:
         w = self.conj_rm() * (self.conj_rp() * self.conj_rm().conj_rp())
         norm = self * w
         if not norm.is_rational():  # norm is a product over all four sign choices
-            raise AssertionError("norm failed to land in Q")
+            raise ArithmeticError("norm failed to land in Q")
         return norm.a
 
     def is_unit(self) -> bool:

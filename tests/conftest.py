@@ -1,7 +1,8 @@
 """Terminal summary for the acceptance suite.
 
-Collects the outcome of every test_criterion_* test in test_acceptance.py and
-prints one verdict line per criterion after the normal pytest output.
+Collects the outcome and call duration of every test_criterion_* test in
+test_acceptance.py and prints one verdict line per criterion, with its
+seconds, after the normal pytest output.
 """
 
 import os
@@ -21,6 +22,7 @@ _TITLES = {
 }
 
 _RESULTS = {}
+_SECONDS = {}
 
 
 def pytest_runtest_logreport(report):
@@ -35,6 +37,7 @@ def pytest_runtest_logreport(report):
         return
     if report.when == "call":
         _RESULTS[num] = report.outcome
+        _SECONDS[num] = report.duration
     elif report.outcome == "failed" and num not in _RESULTS:
         # setup (import/collection) errors count as failures of the criterion
         _RESULTS[num] = "failed"
@@ -48,7 +51,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     tr.section("acceptance criteria")
     for num in sorted(_RESULTS):
         verdict = "PASS" if _RESULTS[num] == "passed" else "FAIL"
-        tr.write_line("criterion %2d  %-42s %s" % (num, _TITLES.get(num, "?"), verdict))
+        seconds = "%8.2f s" % _SECONDS[num] if num in _SECONDS else "       - s"
+        tr.write_line("criterion %2d  %-42s %s %s"
+                      % (num, _TITLES.get(num, "?"), verdict, seconds))
     if 5 in _RESULTS:
         if os.environ.get("CHARCUBIC_ACCEPTANCE_FULL"):
             tr.write_line("criterion 5 ran the full word-length envelope (bulk lengths 1..12).")

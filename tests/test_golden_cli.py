@@ -34,10 +34,14 @@ _COMMANDS = [
     ("aut_apply_map", ["aut", "apply", "--word", "t3 t1 t2", "--params", "1/2,-1,3"]),
     ("aut_apply_point", ["aut", "apply", "--word", "t1 t2 t3 t1",
                          "--params", "1,-2,3", "--point", "1,1/2,-3"]),
+    ("aut_apply_rational", ["aut", "apply", "--word", "t2 t3 t1 perm(zxy)",
+                            "--params", "1/3,-2/3,4/3", "--point", "1,-1/2,2"]),
+    ("aut_apply_perm", ["aut", "apply", "--word", "perm(yxz)", "--point", "1,2,3"]),
     ("aut_decompose", ["aut", "decompose", "--map", _MAP_X]),
     ("aut_decompose_tail", ["aut", "decompose", "--map",
                             "-y; -x*y^2 + y*z + x; x*y - z", "--verify-unique"]),
     ("homology_action", ["homology", "action", "--word", "t1 t2 g b"]),
+    ("homology_action_tail", ["homology", "action", "--word", "t1 a t3 perm(yxz)flip(xy)"]),
     ("homology_form", ["homology", "form", "--basis", "alpha"]),
     ("homology_cob", ["homology", "change-of-basis"]),
     ("link_monodromy", ["link", "monodromy", "--euler", "-2,-3,-1"]),
@@ -50,6 +54,11 @@ _COMMANDS = [
     ("snf", ["snf", "--matrix", "2,4,4;-6,6,12;10,-4,-16"]),
     # exit 1: the residue (y, x, z) does not preserve the member at (1, 2, 3)
     ("err_domain_tail", ["aut", "decompose", "--map", "y; x; z", "--params", "1,2,3"]),
+    # exit 1: the tail flips one sign, so (2, -2, -2) leaves the four points
+    ("err_domain_points", ["homology", "action", "--word", "t1 perm(xyz)flip(x)"]),
+    # exit 1: the letter alpha exists only at parameters (0, 0, 0)
+    ("err_domain_letter", ["aut", "apply", "--word", "a t1", "--params", "1,0,0",
+                           "--point", "0,0,0"]),
     # exit 1: incidence at t = 3 is not decided (t - 2 is a square, t + 2 is not)
     ("err_domain_gram", ["lines", "--t", "3", "--gram"]),
     # exit 2: a parameter triple with two entries
