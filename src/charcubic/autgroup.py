@@ -161,6 +161,9 @@ class GroupWord:
     tail: Optional[SignedPerm] = None
 
     def __post_init__(self):
+        if isinstance(self.letters, str):
+            raise ValueError("a word is a sequence of letters, not the string %r"
+                             % self.letters)
         object.__setattr__(self, "letters", tuple(self.letters))
         for name in self.letters:
             if name not in ALL_LETTERS:

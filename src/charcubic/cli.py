@@ -93,7 +93,7 @@ def _cmd_singular(args) -> int:
 
 
 def _cmd_aut_check(args) -> int:
-    flag = is_automorphism(args.map, args.params)
+    flag = is_automorphism(parse_poly_map(args.map), args.params)
     return _emit(args, ["automorphism: %s" % ("true" if flag else "false")],
                  {"params": [str(c) for c in args.params],
                   "automorphism": flag})
@@ -110,7 +110,7 @@ def _cmd_aut_apply(args) -> int:
 
 
 def _cmd_aut_decompose(args) -> int:
-    letters, tail = horowitz_decompose(args.map, args.params,
+    letters, tail = horowitz_decompose(parse_poly_map(args.map), args.params,
                                        verify_unique=args.verify_unique)
     word = GroupWord(letters, tail)
     tokens = word_tokens(word)
@@ -267,8 +267,9 @@ def _build_parser() -> argparse.ArgumentParser:
     aut_sub = aut.add_subparsers(dest="subcommand", required=True)
     ac = aut_sub.add_parser("check", parents=[shared],
                             help="test whether a map preserves the family member")
-    ac.add_argument("--map", type=parse_poly_map, required=True,
-                    metavar='"f1; f2; f3"')
+    # --map is parsed by the handler, so a map too large to represent exits
+    # 1 like any other domain error instead of 2 as a usage error
+    ac.add_argument("--map", required=True, metavar='"f1; f2; f3"')
     ac.add_argument("--params", type=parse_triple, default=(0, 0, 0),
                     metavar="P,Q,R")
     ac.set_defaults(handler=_cmd_aut_check)
@@ -283,8 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     aa.set_defaults(handler=_cmd_aut_apply)
     ad = aut_sub.add_parser("decompose", parents=[shared],
                             help="normal form of a map as a tau-word and tail")
-    ad.add_argument("--map", type=parse_poly_map, required=True,
-                    metavar='"f1; f2; f3"')
+    ad.add_argument("--map", required=True, metavar='"f1; f2; f3"')
     ad.add_argument("--params", type=parse_triple, default=(0, 0, 0),
                     metavar="P,Q,R")
     ad.add_argument("--verify-unique", action="store_true",

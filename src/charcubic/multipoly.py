@@ -1,10 +1,17 @@
 """Sparse multivariate polynomials and polynomial self-maps of affine 3-space.
 
-Coefficients are exact rationals (Python ints or fractions.Fraction, mixed
-freely).  A polynomial is a dict from packed exponent keys to nonzero
+Coefficients are exact rationals.  Every stored coefficient is a Python int,
+or a fractions.Fraction whose denominator is greater than 1: each operation
+collapses integral Fractions, so integer data never reaches Fraction
+arithmetic.  A polynomial is a dict from packed exponent keys to nonzero
 coefficients; exponents pack 16 bits per variable, so monomial products are
-single integer additions.  Everything here is immutable in spirit: operations
-return new objects and never mutate their operands.
+single integer additions, and a product whose exponent in some variable would
+exceed _MAXEXP raises ValueError.  Large products use Kronecker substitution:
+one variable's exponents become the digits of a big integer, so CPython's
+big-integer multiply does the inner loops (D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput. 44,
+2009).  Everything here is immutable in spirit: operations return new objects
+and never mutate their operands.
 
 >>> x, y, z = MultiPoly.gens("x", "y", "z")
 >>> print(x**2 + y**2 + z**2 - x*y*z - 2)
@@ -14,7 +21,8 @@ return new objects and never mutate their operands.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from math import lcm
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .univariate import _join_terms
 
@@ -23,13 +31,127 @@ Coeff = Union[int, Fraction]
 _FIELD = 16
 _MASK = (1 << _FIELD) - 1
 _MAXEXP = _MASK  # per-variable exponent bound imposed by the packing
+# Products with at least this many term pairs take the Kronecker path.  This
+# is the measured crossover for products of tau-word map components with
+# rational coefficients.  Integer ones break even nearer 3000 pairs, where
+# either path takes about a millisecond.
+_PACK_PAIRS = 400
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
     """Collapse integral Fractions to plain ints (keeps arithmetic on the fast path)."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if c.__class__ is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _max_exponents(terms: dict, nv: int) -> list:
+    return [max((k >> (_FIELD * i)) & _MASK for k in terms) for i in range(nv)]
+
+
+def _mul_dict(a: dict, b: dict) -> dict:
+    """Product of two term dicts, one pair of terms at a time."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[int, Coeff] = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            v = get(k)
+            if v is None:
+                out[k] = ca * cb
+            else:
+                v = v + ca * cb
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+    for k, v in out.items():
+        if v.__class__ is Fraction and v.denominator == 1:
+            out[k] = v.numerator
+    return out
+
+
+def _content(terms: dict) -> tuple:
+    """(numerators, denominator): the terms scaled by their common denominator."""
+    den = lcm(*{c.denominator for c in terms.values()})
+    if den == 1:
+        return terms, 1
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _pack_groups(nums: dict, shift: int, width: int) -> tuple:
+    """(lo, groups): the terms grouped by every exponent but the one at
+    `shift`, each group packed into one int whose slot s holds the
+    coefficient of exponent lo + s, where lo is the lowest such exponent."""
+    lo = min((k >> shift) & _MASK for k in nums)
+    groups: dict[int, int] = {}
+    get = groups.get
+    for k, c in nums.items():
+        e = (k >> shift) & _MASK
+        rest = k - (e << shift)
+        groups[rest] = get(rest, 0) + (c << (width * (e - lo)))
+    return lo, groups
+
+
+def _pack_var(a: dict, b: dict, nv: int) -> Optional[int]:
+    """The variable to pack: the one leaving the fewest group pairs, among
+    those whose exponents span no more slots than each operand has terms (so
+    a packed int is not mostly empty slots); None when no variable qualifies."""
+    best = None
+    for i in range(nv):
+        shift = _FIELD * i
+        spans = [{(k >> shift) & _MASK for k in t} for t in (a, b)]
+        if any(max(es) - min(es) >= len(t) for es, t in zip(spans, (a, b))):
+            continue
+        keep = ~(_MASK << shift)
+        pairs = len({k & keep for k in a}) * len({k & keep for k in b})
+        if best is None or pairs < best[0]:
+            best = (pairs, i)
+    return None if best is None else best[1]
+
+
+def _mul_packed(a: dict, b: dict, var: int) -> dict:
+    """Product of two nonzero term dicts by Kronecker substitution in the
+    variable with index `var`.
+
+    Each operand is split into integer numerators and one denominator.  Slots
+    are wide enough for the largest possible coefficient sum, plus a sign bit,
+    so the signed slots of the accumulated products read back exactly.
+    """
+    a, da = _content(a)
+    b, db = _content(b)
+    den = da * db
+    bound = (max(abs(c) for c in a.values()).bit_length()
+             + max(abs(c) for c in b.values()).bit_length()
+             + min(len(a), len(b)).bit_length() + 2)
+    nbytes = (bound + 7) >> 3
+    width = nbytes << 3
+    shift = _FIELD * var
+    lo_a, ga = _pack_groups(a, shift, width)
+    lo_b, gb = _pack_groups(b, shift, width)
+    gb_items = list(gb.items())
+    acc: dict[int, int] = {}
+    get = acc.get
+    for ra, pa in ga.items():
+        for rb, pb in gb_items:
+            k = ra + rb
+            acc[k] = get(k, 0) + pa * pb
+    half = 1 << (width - 1)
+    half_bytes = half.to_bytes(nbytes, "little")
+    out: dict[int, Coeff] = {}
+    for rest, n in acc.items():
+        slots = n.bit_length() // width + 1
+        # adding `half` to every slot makes each one a plain unsigned digit
+        raw = (n + int.from_bytes(half_bytes * slots, "little")).to_bytes(
+            slots * nbytes, "little")
+        rest += (lo_a + lo_b) << shift
+        for e in range(slots):
+            c = int.from_bytes(raw[e * nbytes:(e + 1) * nbytes], "little") - half
+            if c:
+                out[rest + (e << shift)] = c if den == 1 else _norm_coeff(Fraction(c, den))
+    return out
 
 
 class MultiPoly:
@@ -138,11 +260,11 @@ class MultiPoly:
         """Total degree; -1 for the zero polynomial."""
         if self._degree is None:
             d = -1
-            mask, field, nv = _MASK, _FIELD, len(self.vars)
+            mask, shifts = _MASK, range(_FIELD, _FIELD * len(self.vars), _FIELD)
             for key in self._terms:
-                t = 0
-                for i in range(nv):
-                    t += (key >> (field * i)) & mask
+                t = key & mask
+                for s in shifts:
+                    t += key >> s & mask
                 if t > d:
                     d = t
             self._degree = d
@@ -182,7 +304,7 @@ class MultiPoly:
             else:
                 v = v + c
                 if v:
-                    out[k] = v
+                    out[k] = _norm_coeff(v)
                 else:
                     del out[k]
         return MultiPoly._raw(self.vars, out)
@@ -203,7 +325,7 @@ class MultiPoly:
             else:
                 v = v - c
                 if v:
-                    out[k] = v
+                    out[k] = _norm_coeff(v)
                 else:
                     del out[k]
         return MultiPoly._raw(self.vars, out)
@@ -216,7 +338,7 @@ class MultiPoly:
             return self
         out = dict(self._terms)
         v = out.get(0)
-        v = c if v is None else v + c
+        v = _norm_coeff(c if v is None else v + c)
         if v:
             out[0] = v
         elif 0 in out:
@@ -229,44 +351,48 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             if isinstance(other, (int, Fraction)):
+                other = _norm_coeff(other)
                 if not other:
                     return MultiPoly._raw(self.vars, {})
-                return MultiPoly._raw(self.vars, {k: c * other for k, c in self._terms.items()})
+                if other == 1:
+                    return self
+                if other == -1:
+                    return -self
+                return MultiPoly._raw(self.vars, {k: _norm_coeff(c * other)
+                                                  for k, c in self._terms.items()})
             return NotImplemented
         self._check_same_vars(other)
         a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, Coeff] = {}
-        get = out.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                v = get(k)
-                if v is None:
-                    out[k] = ca * cb
-                else:
-                    v = v + ca * cb
-                    if v:
-                        out[k] = v
-                    else:
-                        del out[k]
-        return MultiPoly._raw(self.vars, out)
+        if not a or not b:
+            return MultiPoly._raw(self.vars, {})
+        nv = len(self.vars)
+        degree = self.degree() + other.degree()
+        if degree > _MAXEXP:
+            # total degree is only a bound; check each variable exactly
+            for name, ea, eb in zip(self.vars, _max_exponents(a, nv), _max_exponents(b, nv)):
+                if ea + eb > _MAXEXP:
+                    raise ValueError("exponent of %s in a product would exceed %d"
+                                     % (name, _MAXEXP))
+        var = _pack_var(a, b, nv) if len(a) * len(b) >= _PACK_PAIRS else None
+        out = _mul_dict(a, b) if var is None else _mul_packed(a, b, var)
+        p = MultiPoly._raw(self.vars, out)
+        p._degree = degree  # degrees add over a domain
+        return p
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = MultiPoly.const(self.vars, 1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base2 = base * base if n > 1 else base
-            base = base2
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return MultiPoly.const(self.vars, 1) if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):

@@ -59,7 +59,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             tr.write_line("criterion 5 ran the full word-length envelope (bulk lengths 1..12).")
         else:
             tr.write_line(
-                "note: criterion 5 ran its bulk round-trip at word lengths 1..8 with single\n"
-                "      spot words at lengths 9 and 10.  One exact length-12 composite costs\n"
-                "      10-200 s, so the full length <= 12 envelope (plus spot words at 11\n"
-                "      and 12) only runs when CHARCUBIC_ACCEPTANCE_FULL=1 is set.")
+                "note: criterion 5 ran its bulk round-trip at word lengths 1..10 with single\n"
+                "      spot words at lengths 9, 10 and 11.  One exact length-12 round trip\n"
+                "      takes minutes, so the full length <= 12 envelope (plus a spot word\n"
+                "      at 12) only runs when CHARCUBIC_ACCEPTANCE_FULL=1 is set.")

@@ -1,0 +1,192 @@
+"""The Kronecker-packed multiply against the dict-loop oracle, the integer
+coefficient invariant, and the exponent-overflow guard."""
+
+import contextlib
+import io
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from charcubic.autgroup import TAU_LETTERS, word_to_map
+from charcubic.cli import run
+from charcubic.multipoly import (_MAXEXP, _PACK_PAIRS, MAP_VARS, MultiPoly,
+                                 _mul_dict, _mul_packed, _pack_var)
+from charcubic.parsing import parse_poly
+
+_INTS = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+_COEFFS = st.one_of(
+    _INTS,
+    st.builds(Fraction, _INTS, st.integers(1, 60)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2**70, 3**40, 7])))
+
+
+def _poly(terms):
+    return MultiPoly(MAP_VARS, dict(terms))
+
+
+def _polys(max_exp=4, min_size=1, max_size=12):
+    exps = st.tuples(*[st.integers(0, max_exp)] * 3)
+    return st.dictionaries(exps, _COEFFS, min_size=min_size, max_size=max_size).map(
+        _poly).filter(bool)
+
+
+def _check_invariant(terms):
+    for c in terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys(), _polys())
+def test_packed_matches_the_dict_loop_in_every_variable(f, g):
+    want = _mul_dict(f._terms, g._terms)
+    for var in range(3):
+        got = _mul_packed(f._terms, g._terms, var)
+        assert got == want
+        _check_invariant(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_matches_the_dict_loop_just_under_the_field_limit(data):
+    # per variable, the highest exponents of the two operands sum to _MAXEXP
+    tops = [data.draw(st.integers(6, _MAXEXP - 6)) for _ in range(3)]
+
+    def near(top):
+        exps = st.tuples(*[st.integers(t - 6, t) for t in top])
+        return data.draw(st.dictionaries(exps, _COEFFS, min_size=1, max_size=8))
+
+    f = _poly(near(tops))
+    g = _poly(near([_MAXEXP - t for t in tops]))
+    if not f or not g:
+        return
+    want = _mul_dict(f._terms, g._terms)
+    for var in range(3):
+        assert _mul_packed(f._terms, g._terms, var) == want
+    assert (f * g)._terms == want
+
+
+_LARGE = _polys(max_exp=6, min_size=25, max_size=40)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_LARGE, _LARGE)
+def test_large_products_take_the_packed_path_and_agree(f, g):
+    if len(f) * len(g) < _PACK_PAIRS:
+        return
+    assert _pack_var(f._terms, g._terms, 3) is not None
+    assert (f * g)._terms == _mul_dict(f._terms, g._terms)
+
+
+def test_cancellations_and_single_terms():
+    x, y, z = MultiPoly.gens(*MAP_VARS)
+    cases = [
+        (x + y, x - y),                                     # middle term cancels
+        ((x + y) * (y + z), (x - y) * (y - z)),
+        (x * y * z * Fraction(3, 7), x**2 + y * z - 5),     # single-term operand
+        (MultiPoly.const(MAP_VARS, -4), x**3 - y),
+        (x + Fraction(1, 2), x - Fraction(1, 2)),           # content 1/4, result x^2 - 1/4
+        (x**2 * Fraction(2, 3) + y, x * Fraction(3, 2) - z * Fraction(1, 6)),
+    ]
+    for f, g in cases:
+        want = _mul_dict(f._terms, g._terms)
+        for var in range(3):
+            assert _mul_packed(f._terms, g._terms, var) == want
+    assert _mul_packed((x + 1)._terms, (x - 1)._terms, 0) == (x**2 - 1)._terms
+    # a product with integral coefficients built from rational operands
+    half = (x + y) * Fraction(1, 2)
+    prod = _mul_packed(half._terms, (x * 2 - y * 2)._terms, 0)
+    assert prod == (x**2 - y**2)._terms
+    assert all(type(c) is int for c in prod.values())
+
+
+def test_slots_hold_the_largest_coefficient_sum():
+    # (2^k - 1) * (1 + x + ... + x^(m-1)) squared puts m * (2^k - 1)^2 in the
+    # middle slot, the most the slot bound allows; every k meets every byte
+    # rounding of the slot width
+    x = MultiPoly.gens(*MAP_VARS)[0]
+    for m in (3, 7, 15):
+        ones = sum((x**i for i in range(m)), MultiPoly.zero(MAP_VARS))
+        for k in range(1, 40):
+            f = ones * (2**k - 1)
+            for g in (f, -f):
+                assert _mul_packed(f._terms, g._terms, 0) == _mul_dict(f._terms, g._terms)
+
+
+def test_pack_var_picks_the_fewest_group_pairs_and_skips_sparse_spans():
+    x, y, z = MultiPoly.gens(*MAP_VARS)
+    # dense in x, one value each of y and z: packing x leaves one group pair
+    f = sum((x**i for i in range(30)), MultiPoly.zero(MAP_VARS)) * y * z
+    assert _pack_var(f._terms, f._terms, 3) == 0
+    g = sum((z**i * y**(i % 3) for i in range(30)), MultiPoly.zero(MAP_VARS))
+    assert _pack_var(g._terms, g._terms, 3) == 2
+    # exponents 0 and 30000 in every variable: no packing would be dense
+    sparse = x**30000 + y**30000 + z**30000 + 1
+    assert _pack_var(sparse._terms, sparse._terms, 3) is None
+    assert (sparse * sparse).coefficient((0, 30000, 0)) == 2
+
+
+@st.composite
+def _ops(draw):
+    f = draw(_polys(max_exp=3, max_size=6))
+    g = draw(_polys(max_exp=3, max_size=6))
+    c = draw(_COEFFS)
+    return f, g, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ops(), st.integers(0, 3))
+def test_no_integral_fraction_survives_any_operation(ops, n):
+    f, g, c = ops
+    x, y, z = MultiPoly.gens(*MAP_VARS)
+    results = [f + g, f - g, f * g, f + c, f - c, c - f, f * c, c * f, f ** n,
+               f * Fraction(1, 3) * 3, f.derivative("x"), f.derivative("z"),
+               f.substitute({"x": g, "y": x + c, "z": z * c})]
+    for p in results:
+        _check_invariant(p._terms)
+
+
+def test_integer_parameters_keep_integer_coefficients():
+    f = word_to_map(("tau1", "tau2", "tau3", "tau1", "tau2"), (1, -2, 3))
+    for comp in f.components:
+        assert comp.terms()
+        assert all(type(c) is int for _, c in comp.terms())
+    # integral Fractions count as integers too
+    g = word_to_map(TAU_LETTERS, (Fraction(4, 2), Fraction(-3), 0))
+    assert all(type(c) is int for comp in g.components for _, c in comp.terms())
+
+
+def test_product_degree_is_cached_and_exact():
+    x, y, z = MultiPoly.gens(*MAP_VARS)
+    f = (x * y - z + 3) * (x**2 - y)
+    assert f._degree == 4
+    assert f.degree() == MultiPoly(MAP_VARS, dict(f.terms())).degree()
+
+
+def test_exponent_overflow_raises_instead_of_wrapping():
+    x, y, z = MultiPoly.gens(*MAP_VARS)
+    with pytest.raises(ValueError, match="exponent of x"):
+        x**40000 * x**40000
+    with pytest.raises(ValueError, match="exponent of x"):
+        x**65535 * x
+    with pytest.raises(ValueError, match="exponent of y"):
+        (x * y**65535) * (y + 1)
+    with pytest.raises(ValueError, match="exponent of x"):
+        parse_poly("x^70000")
+    with pytest.raises(ValueError, match="exponent of z"):
+        (z**40000).substitute({"x": x, "y": y, "z": z**2})
+    # at the limit itself, and total degree past it with no variable past it
+    assert (x**65534 * x).coefficient((_MAXEXP, 0, 0)) == 1
+    assert (x**40000 * y**40000).degree() == 80000
+    big = (x * y * z) ** 30000 * (x * y * z) ** 35535
+    assert big.coefficient((_MAXEXP,) * 3) == 1
+
+
+def test_cli_reports_exponent_overflow_with_exit_1():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["aut", "check", "--map", "x^70000; y; z"])
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue() == "error: exponent of x in a product would exceed 65535\n"

@@ -53,9 +53,14 @@ def test_group_word_of():
     w = GroupWord(("tau1",), SignedPerm((1, 0, 2)))
     assert GroupWord.of(w) is w
     assert GroupWord.of(["tau2", "alpha"]) == GroupWord(("tau2", "alpha"))
-    for bad in (("tau1", "tau4"), "tau1"):
-        with pytest.raises(ValueError, match="^unknown letter "):
+    with pytest.raises(ValueError, match="^unknown letter 'tau4'$"):
+        GroupWord.of(("tau1", "tau4"))
+    # a bare string is not read as a sequence of one-character letters
+    for bad in ("tau1", ""):
+        with pytest.raises(ValueError, match="not the string %r$" % bad):
             GroupWord.of(bad)
+    with pytest.raises(ValueError, match="not the string 'tau1'$"):
+        word_to_map("tau1")
 
 
 def test_empty_word_normalises_like_the_identity_map():
