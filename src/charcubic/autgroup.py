@@ -17,8 +17,7 @@ from itertools import permutations, product
 from typing import Optional
 
 from .family import as_params, build_kappa
-from .multipoly import (MAP_VARS, MultiPoly, PolyMap, jacobian_determinant,
-                        map_compose)
+from .multipoly import MAP_VARS, MultiPoly, PolyMap, _rational, jacobian_determinant
 
 GAMMA_LETTERS = ("alpha", "beta", "gamma", "sigma_x", "sigma_y", "sigma_z")
 TAU_LETTERS = ("tau1", "tau2", "tau3")
@@ -118,33 +117,39 @@ class SignedPerm:
         return "SignedPerm(%r, %r)" % (self.perm, self.signs)
 
 
+# each letter as a ring-generic formula (x, y, z, p, q, r) -> image triple,
+# used on polynomials and on points alike
+_LETTER_FORMULAS = {
+    "alpha": lambda x, y, z, p, q, r: (y, x, x * y - z),
+    "beta": lambda x, y, z, p, q, r: (y, z, x),
+    "gamma": lambda x, y, z, p, q, r: (x, y, x * y - z),
+    "sigma_x": lambda x, y, z, p, q, r: (x, -y, -z),
+    "sigma_y": lambda x, y, z, p, q, r: (-x, y, -z),
+    "sigma_z": lambda x, y, z, p, q, r: (-x, -y, z),
+    "tau1": lambda x, y, z, p, q, r: (x, y, x * y - z + r),
+    "tau2": lambda x, y, z, p, q, r: (y * z - x + p, y, z),
+    "tau3": lambda x, y, z, p, q, r: (x, x * z - y + q, z),
+}
+
+
+def _formula(name: str, params):
+    """The letter's formula, after checking it exists at these parameters."""
+    if name in GAMMA_LETTERS and tuple(params) != (0, 0, 0):
+        raise ValueError("letter %r is only defined at parameters (0, 0, 0)" % name)
+    if name not in _LETTER_FORMULAS:
+        raise ValueError("unknown letter %r" % name)
+    return _LETTER_FORMULAS[name]
+
+
+def _after(name: str, f: PolyMap, params) -> PolyMap:
+    """generator(name, params) o f, by plugging f's components into the formula."""
+    return PolyMap(_formula(name, params)(*f.components, *params))
+
+
 def generator(name: str, params=(0, 0, 0)) -> PolyMap:
     """The generator map for a letter; quadratic-involution letters take any
     parameters, the parameter-free alphabet requires params = (0, 0, 0)."""
-    params = as_params(params)
-    p, q, r = params
-    x, y, z = MultiPoly.gens(*MAP_VARS)
-    if name in GAMMA_LETTERS and tuple(params) != (0, 0, 0):
-        raise ValueError("letter %r is only defined at parameters (0, 0, 0)" % name)
-    if name == "alpha":
-        return PolyMap((y, x, x * y - z))
-    if name == "beta":
-        return PolyMap((y, z, x))
-    if name == "gamma":
-        return PolyMap((x, y, x * y - z))
-    if name == "sigma_x":
-        return PolyMap((x, -y, -z))
-    if name == "sigma_y":
-        return PolyMap((-x, y, -z))
-    if name == "sigma_z":
-        return PolyMap((-x, -y, z))
-    if name == "tau1":
-        return PolyMap((x, y, x * y - z + r))
-    if name == "tau2":
-        return PolyMap((y * z - x + p, y, z))
-    if name == "tau3":
-        return PolyMap((x, x * z - y + q, z))
-    raise ValueError("unknown letter %r" % name)
+    return _after(name, PolyMap.identity(), as_params(params))
 
 
 # Jacobian determinant of each generator map (all are constants)
@@ -206,20 +211,23 @@ def word_to_map(word, params=(0, 0, 0)) -> PolyMap:
     word = GroupWord.of(word)
     f = word.tail.to_poly_map() if word.tail is not None else PolyMap.identity()
     for name in reversed(word.letters):
-        f = map_compose(generator(name, params), f)
+        f = _after(name, f, params)
     return f
 
 
 def apply_word(word, point, params=(0, 0, 0)) -> tuple:
     """word_to_map(word, params)(point), int where integral, computed one
-    letter at a time (rightmost first) without composing the word's map."""
-    params = as_params(params)
+    letter formula at a time (rightmost first) on the point itself."""
+    params = tuple(_rational(c) for c in as_params(params))
     word = GroupWord.of(word)
-    f = word.tail.to_poly_map() if word.tail is not None else PolyMap.identity()
-    point = f(point)
+    if len(point) != 3:
+        raise ValueError("a point needs three coordinates")
+    point = tuple(_rational(c) for c in point)
+    if word.tail is not None:
+        point = word.tail.apply(point)
     for name in reversed(word.letters):
-        point = generator(name, params)(point)
-    return point
+        point = _formula(name, params)(*point, *params)
+    return tuple(_rational(c) for c in point)
 
 
 def sign_character(word, params=(0, 0, 0)) -> int:
@@ -305,12 +313,11 @@ def horowitz_decompose(f: PolyMap, params=(0, 0, 0), verify_unique=False):
     permutation preserving the family member.
     """
     params = as_params(params)
-    taus = {name: generator(name, params) for name in TAU_LETTERS}
     letters = []
     g = f
     while g.degree() > 1:
         if verify_unique:
-            reducers = [(name, map_compose(taus[name], g)) for name in TAU_LETTERS]
+            reducers = [(name, _after(name, g, params)) for name in TAU_LETTERS]
             reducers = [(n, c) for n, c in reducers if c.degree() < g.degree()]
             if len(reducers) > 1:
                 raise ArithmeticError("degree reduction is not unique at %s" % g)
@@ -325,7 +332,7 @@ def horowitz_decompose(f: PolyMap, params=(0, 0, 0), verify_unique=False):
             if len(slots) != 1:
                 raise ValueError("reduction stalls: tied component degrees %s" % (degs,))
             name = _REPLACED_SLOT_TAU[slots[0]]
-            candidate = map_compose(taus[name], g)
+            candidate = _after(name, g, params)
             if candidate.degree() >= g.degree():
                 raise ValueError("reduction stalls at degree %d: "
                                  "map is not in the involution-generated group" % g.degree())

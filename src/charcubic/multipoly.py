@@ -1,17 +1,18 @@
 """Sparse multivariate polynomials and polynomial self-maps of affine 3-space.
 
-Coefficients are exact rationals.  Every stored coefficient is a Python int,
-or a fractions.Fraction whose denominator is greater than 1: each operation
-collapses integral Fractions, so integer data never reaches Fraction
-arithmetic.  A polynomial is a dict from packed exponent keys to nonzero
-coefficients; exponents pack 16 bits per variable, so monomial products are
-single integer additions, and a product whose exponent in some variable would
-exceed _MAXEXP raises ValueError.  Large products use Kronecker substitution:
-one variable's exponents become the digits of a big integer, so CPython's
-big-integer multiply does the inner loops (D. Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symbolic Comput. 44,
-2009).  Everything here is immutable in spirit: operations return new objects
-and never mutate their operands.
+Coefficients are exact rationals, stored in content form: a dict of nonzero
+int numerators over one positive int denominator that shares no factor with
+all of them (1 for the zero polynomial), as FLINT's fmpq_mpoly keeps an
+fmpz_mpoly and a content.  Arithmetic therefore runs on ints only, and
+Fractions appear only where coefficients and values leave the class.  The
+dict maps packed exponent keys to numerators; exponents pack 16 bits per
+variable, so monomial products are single integer additions, and a product
+whose exponent in some variable would exceed _MAXEXP raises ValueError.
+Large products use Kronecker substitution: one variable's exponents become the
+digits of a big integer, so CPython's big-integer multiply does the inner
+loops (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 44, 2009).  Everything here is immutable in
+spirit: operations return new objects and never mutate their operands.
 
 >>> x, y, z = MultiPoly.gens("x", "y", "z")
 >>> print(x**2 + y**2 + z**2 - x*y*z - 2)
@@ -21,7 +22,7 @@ and never mutate their operands.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .univariate import _join_terms
@@ -31,18 +32,28 @@ Coeff = Union[int, Fraction]
 _FIELD = 16
 _MASK = (1 << _FIELD) - 1
 _MAXEXP = _MASK  # per-variable exponent bound imposed by the packing
-# Products with at least this many term pairs take the Kronecker path.  This
-# is the measured crossover for products of tau-word map components with
-# rational coefficients.  Integer ones break even nearer 3000 pairs, where
-# either path takes about a millisecond.
-_PACK_PAIRS = 400
+# Products with at least this many term pairs take the Kronecker path: the
+# measured crossover for products of tau-word map components, whose
+# numerators are integers whatever the parameters.
+_PACK_PAIRS = 1500
 
 
-def _norm_coeff(c: Coeff) -> Coeff:
-    """Collapse integral Fractions to plain ints (keeps arithmetic on the fast path)."""
-    if c.__class__ is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
+def _exact(c) -> Fraction:
+    """c as an exact Fraction; only ints, Fractions and floats are numbers."""
+    if not isinstance(c, (int, Fraction, float)):
+        raise TypeError("not a rational number: %r" % (c,))
+    return Fraction(c)
+
+
+def _rational(num, den: int = 1) -> Coeff:
+    """num / den as an int when integral, else as a Fraction."""
+    if num.__class__ is int:
+        if den == 1:
+            return num
+        q = Fraction(num, den)
+    else:
+        q = _exact(num) / den
+    return q.numerator if q.denominator == 1 else q
 
 
 def _max_exponents(terms: dict, nv: int) -> list:
@@ -53,7 +64,7 @@ def _mul_dict(a: dict, b: dict) -> dict:
     """Product of two term dicts, one pair of terms at a time."""
     if len(a) > len(b):
         a, b = b, a
-    out: dict[int, Coeff] = {}
+    out: dict[int, int] = {}
     get = out.get
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -67,18 +78,7 @@ def _mul_dict(a: dict, b: dict) -> dict:
                     out[k] = v
                 else:
                     del out[k]
-    for k, v in out.items():
-        if v.__class__ is Fraction and v.denominator == 1:
-            out[k] = v.numerator
     return out
-
-
-def _content(terms: dict) -> tuple:
-    """(numerators, denominator): the terms scaled by their common denominator."""
-    den = lcm(*{c.denominator for c in terms.values()})
-    if den == 1:
-        return terms, 1
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
 def _pack_groups(nums: dict, shift: int, width: int) -> tuple:
@@ -116,13 +116,10 @@ def _mul_packed(a: dict, b: dict, var: int) -> dict:
     """Product of two nonzero term dicts by Kronecker substitution in the
     variable with index `var`.
 
-    Each operand is split into integer numerators and one denominator.  Slots
-    are wide enough for the largest possible coefficient sum, plus a sign bit,
-    so the signed slots of the accumulated products read back exactly.
+    Slots are wide enough for the largest possible coefficient sum, plus a
+    sign bit, so the signed slots of the accumulated products read back
+    exactly.
     """
-    a, da = _content(a)
-    b, db = _content(b)
-    den = da * db
     bound = (max(abs(c) for c in a.values()).bit_length()
              + max(abs(c) for c in b.values()).bit_length()
              + min(len(a), len(b)).bit_length() + 2)
@@ -140,7 +137,7 @@ def _mul_packed(a: dict, b: dict, var: int) -> dict:
             acc[k] = get(k, 0) + pa * pb
     half = 1 << (width - 1)
     half_bytes = half.to_bytes(nbytes, "little")
-    out: dict[int, Coeff] = {}
+    out: dict[int, int] = {}
     for rest, n in acc.items():
         slots = n.bit_length() // width + 1
         # adding `half` to every slot makes each one a plain unsigned digit
@@ -150,7 +147,7 @@ def _mul_packed(a: dict, b: dict, var: int) -> dict:
         for e in range(slots):
             c = int.from_bytes(raw[e * nbytes:(e + 1) * nbytes], "little") - half
             if c:
-                out[rest + (e << shift)] = c if den == 1 else _norm_coeff(Fraction(c, den))
+                out[rest + (e << shift)] = c
     return out
 
 
@@ -162,7 +159,7 @@ class MultiPoly:
     embedding.
     """
 
-    __slots__ = ("vars", "_terms", "_degree")
+    __slots__ = ("vars", "_nums", "_den", "_degree")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Coeff] | None = None):
         vs = tuple(variables)
@@ -170,8 +167,7 @@ class MultiPoly:
             raise ValueError("duplicate variable names: %r" % (vs,))
         if len(vs) * _FIELD > 1024:
             raise ValueError("too many variables")
-        self.vars = vs
-        packed: dict[int, Coeff] = {}
+        coeffs: dict[int, Fraction] = {}
         if terms:
             n = len(vs)
             for exps, c in terms.items():
@@ -180,25 +176,33 @@ class MultiPoly:
                     raise ValueError("exponent tuple %r does not match variables %r" % (exps, vs))
                 if any((not isinstance(e, int)) or e < 0 or e > _MAXEXP for e in exps):
                     raise ValueError("bad exponent tuple %r" % (exps,))
-                c = _norm_coeff(c)
-                if c:
-                    key = self._pack(exps)
-                    prev = packed.get(key)
-                    c = c if prev is None else _norm_coeff(prev + c)
-                    if c:
-                        packed[key] = c
-                    else:
-                        del packed[key]
-        self._terms = packed
+                key = self._pack(exps)
+                coeffs[key] = coeffs.get(key, 0) + _exact(c)
+        den = lcm(*(c.denominator for c in coeffs.values() if c))
+        self.vars = vs
+        self._nums = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items() if c}
+        self._den = den
         self._degree = None
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def _raw(cls, vs: tuple, packed: dict) -> "MultiPoly":
+    def _raw(cls, vs: tuple, nums: dict, den: int = 1) -> "MultiPoly":
+        """The polynomial nums / den, with the common factor of den and the
+        numerators divided out: the one place the content is reduced."""
+        if den != 1:
+            g = den  # the zero polynomial ends with den 1
+            for c in nums.values():
+                g = gcd(g, c)
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                nums = {k: c // g for k, c in nums.items()}
         p = object.__new__(cls)
         p.vars = vs
-        p._terms = packed
+        p._nums = nums
+        p._den = den
         p._degree = None
         return p
 
@@ -208,8 +212,8 @@ class MultiPoly:
 
     @classmethod
     def const(cls, variables: Sequence[str], c: Coeff) -> "MultiPoly":
-        c = _norm_coeff(c)
-        return cls._raw(tuple(variables), {0: c} if c else {})
+        c = _exact(c)
+        return cls._raw(tuple(variables), {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str]) -> "MultiPoly":
@@ -243,17 +247,15 @@ class MultiPoly:
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
+        return not self._nums or (len(self._nums) == 1 and 0 in self._nums)
 
     def constant_value(self) -> Coeff:
         """The value of a constant polynomial; ValueError if nonconstant."""
-        if not self._terms:
-            return 0
         if self.is_constant():
-            return self._terms[0]
+            return _rational(self._nums.get(0, 0), self._den)
         raise ValueError("polynomial is not constant: %s" % self)
 
     def degree(self) -> int:
@@ -261,7 +263,7 @@ class MultiPoly:
         if self._degree is None:
             d = -1
             mask, shifts = _MASK, range(_FIELD, _FIELD * len(self.vars), _FIELD)
-            for key in self._terms:
+            for key in self._nums:
                 t = key & mask
                 for s in shifts:
                     t += key >> s & mask
@@ -271,98 +273,84 @@ class MultiPoly:
         return self._degree
 
     def coefficient(self, exps: Sequence[int]) -> Coeff:
-        return self._terms.get(self._pack(exps), 0)
+        return _rational(self._nums.get(self._pack(exps), 0), self._den)
 
     def terms(self) -> list:
         """[(exponent tuple, coefficient)] in graded-lex order, leading term first."""
-        decoded = [(self._unpack(k), c) for k, c in self._terms.items()]
+        den = self._den
+        decoded = [(self._unpack(k), _rational(c, den)) for k, c in self._nums.items()]
         decoded.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
         return decoded
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other over the least common denominator; the larger
+        numerator dict is copied (scaled) and the smaller one folded into it."""
         if not isinstance(other, MultiPoly):
-            if isinstance(other, (int, Fraction)):
-                return self._add_const(other)
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return self
+            other = MultiPoly.const(self.vars, other)
         self._check_same_vars(other)
-        a, b = self._terms, other._terms
+        den = lcm(self._den, other._den)
+        a, ma = self._nums, den // self._den
+        b, mb = other._nums, sign * (den // other._den)
         if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
+            a, ma, b, mb = b, mb, a, ma
+        out = dict(a) if ma == 1 else {k: c * ma for k, c in a.items()}
+        get = out.get
         for k, c in b.items():
-            v = out.get(k)
+            c *= mb
+            v = get(k)
             if v is None:
                 out[k] = c
             else:
-                v = v + c
+                v += c
                 if v:
-                    out[k] = _norm_coeff(v)
+                    out[k] = v
                 else:
                     del out[k]
-        return MultiPoly._raw(self.vars, out)
+        return MultiPoly._raw(self.vars, out, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            if isinstance(other, (int, Fraction)):
-                return self._add_const(-other)
-            return NotImplemented
-        self._check_same_vars(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            v = out.get(k)
-            if v is None:
-                out[k] = -c
-            else:
-                v = v - c
-                if v:
-                    out[k] = _norm_coeff(v)
-                else:
-                    del out[k]
-        return MultiPoly._raw(self.vars, out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def _add_const(self, c: Coeff) -> "MultiPoly":
-        if not c:
-            return self
-        out = dict(self._terms)
-        v = out.get(0)
-        v = _norm_coeff(c if v is None else v + c)
-        if v:
-            out[0] = v
-        elif 0 in out:
-            del out[0]
-        return MultiPoly._raw(self.vars, out)
+        return (-self)._combine(other, 1)
 
     def __neg__(self):
-        return MultiPoly._raw(self.vars, {k: -c for k, c in self._terms.items()})
+        return MultiPoly._raw(self.vars, {k: -c for k, c in self._nums.items()}, self._den)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             if isinstance(other, (int, Fraction)):
-                other = _norm_coeff(other)
                 if not other:
                     return MultiPoly._raw(self.vars, {})
                 if other == 1:
                     return self
                 if other == -1:
                     return -self
-                return MultiPoly._raw(self.vars, {k: _norm_coeff(c * other)
-                                                  for k, c in self._terms.items()})
+                # dividing out gcd(n, den) first keeps the numerators small
+                g = gcd(other.numerator, self._den)
+                n = other.numerator // g
+                return MultiPoly._raw(self.vars, {k: c * n for k, c in self._nums.items()},
+                                      self._den // g * other.denominator)
             return NotImplemented
         self._check_same_vars(other)
-        a, b = self._terms, other._terms
+        a, b = self._nums, other._nums
         if not a or not b:
             return MultiPoly._raw(self.vars, {})
         nv = len(self.vars)
@@ -375,7 +363,7 @@ class MultiPoly:
                                      % (name, _MAXEXP))
         var = _pack_var(a, b, nv) if len(a) * len(b) >= _PACK_PAIRS else None
         out = _mul_dict(a, b) if var is None else _mul_packed(a, b, var)
-        p = MultiPoly._raw(self.vars, out)
+        p = MultiPoly._raw(self.vars, out, self._den * other._den)
         p._degree = degree  # degrees add over a domain
         return p
 
@@ -396,7 +384,8 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
-            return self.vars == other.vars and self._terms == other._terms
+            return (self.vars == other.vars and self._den == other._den
+                    and self._nums == other._nums)
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
@@ -408,24 +397,24 @@ class MultiPoly:
     def derivative(self, name: str) -> "MultiPoly":
         i = self.vars.index(name)
         shift = _FIELD * i
-        out: dict[int, Coeff] = {}
-        for k, c in self._terms.items():
+        out: dict[int, int] = {}
+        for k, c in self._nums.items():
             e = (k >> shift) & _MASK
             if e:
-                out[k - (1 << shift)] = _norm_coeff(c * e)
-        return MultiPoly._raw(self.vars, out)
+                out[k - (1 << shift)] = c * e
+        return MultiPoly._raw(self.vars, out, self._den)
 
     def evaluate(self, values: Mapping[str, Coeff]) -> Coeff:
         """Evaluate at a point; every variable must be assigned a rational."""
         vals = [values[v] for v in self.vars]
         total: Coeff = 0
-        for exps, c in [(self._unpack(k), c) for k, c in self._terms.items()]:
+        for exps, c in [(self._unpack(k), c) for k, c in self._nums.items()]:
             term = c
             for v, e in zip(vals, exps):
                 if e:
                     term = term * v**e
             total = total + term
-        return _norm_coeff(Fraction(total)) if not isinstance(total, int) else total
+        return _rational(total, self._den)
 
     def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Plug a polynomial in for every variable.
@@ -444,7 +433,7 @@ class MultiPoly:
         pows: list[dict[int, MultiPoly]] = [dict() for _ in imgs]
         one = MultiPoly.const(target, 1)
         out = MultiPoly.zero(target)
-        for exps, c in [(self._unpack(k), c) for k, c in self._terms.items()]:
+        for exps, c in [(self._unpack(k), c) for k, c in self._nums.items()]:
             term = None
             for i, e in enumerate(exps):
                 if not e:
@@ -457,7 +446,7 @@ class MultiPoly:
             if term is None:
                 term = one
             out = out + term * c
-        return out
+        return out if self._den == 1 else out * Fraction(1, self._den)
 
     # -- printing ------------------------------------------------------------
 

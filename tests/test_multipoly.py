@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials and polynomial self-maps."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -115,3 +116,25 @@ def test_jacobian_determinant():
     assert jacobian_determinant(gamma) == MultiPoly.const(MAP_VARS, -1)
     squash = PolyMap((x, x, z))
     assert jacobian_determinant(squash).is_zero()
+
+
+def test_float_coefficients_are_stored_exactly():
+    # a float coefficient is read as the exact rational it denotes, as Matrix
+    # and KappaParams.of read it; no float is ever stored
+    f = MultiPoly(MAP_VARS, {(1, 0, 0): 0.5, (0, 0, 0): 0.1})
+    assert f.terms() == [((1, 0, 0), Fraction(1, 2)), ((0, 0, 0), Fraction(0.1))]
+    assert str(f) == "1/2*x + 3602879701896397/36028797018963968"
+    c = MultiPoly.const(MAP_VARS, 0.25)
+    assert c.constant_value() == Fraction(1, 4) and type(c.constant_value()) is Fraction
+    assert MultiPoly.const(MAP_VARS, 2.0).constant_value() == 2
+    assert type(MultiPoly.const(MAP_VARS, 2.0).constant_value()) is int
+    for p in (f, c, f * c + f):
+        assert all(type(n) is int for n in p._nums.values()) and type(p._den) is int
+    with pytest.raises(TypeError):
+        _ = f * 0.5
+    # strings and Decimals are not numbers, even when they spell one
+    for bad in ("1/2", "3", Decimal("0.5")):
+        with pytest.raises(TypeError):
+            MultiPoly(MAP_VARS, {(1, 0, 0): bad})
+        with pytest.raises(TypeError):
+            MultiPoly.const(MAP_VARS, bad)

@@ -1,9 +1,12 @@
-"""The Kronecker-packed multiply against the dict-loop oracle, the integer
-coefficient invariant, and the exponent-overflow guard."""
+"""The Kronecker-packed multiply against the dict-loop oracle, the content
+form of the coefficients against a dict-of-Fractions oracle, and the
+exponent-overflow guard."""
 
 import contextlib
 import io
 from fractions import Fraction
+from math import gcd, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,19 +35,26 @@ def _polys(max_exp=4, min_size=1, max_size=12):
         _poly).filter(bool)
 
 
-def _check_invariant(terms):
-    for c in terms.values():
+def _check_invariant(p):
+    """Content form: int numerators over a positive int denominator sharing
+    no factor with all of them, 1 for zero; public values int or a proper
+    Fraction."""
+    assert type(p._den) is int and p._den > 0
+    assert all(type(c) is int and c for c in p._nums.values())
+    assert gcd(p._den, *p._nums.values()) == 1
+    assert p._nums or p._den == 1
+    for _, c in p.terms():
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
 
 
 @settings(max_examples=150, deadline=None)
 @given(_polys(), _polys())
 def test_packed_matches_the_dict_loop_in_every_variable(f, g):
-    want = _mul_dict(f._terms, g._terms)
+    want = _mul_dict(f._nums, g._nums)
     for var in range(3):
-        got = _mul_packed(f._terms, g._terms, var)
+        got = _mul_packed(f._nums, g._nums, var)
         assert got == want
-        _check_invariant(got)
+        assert all(type(c) is int for c in got.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -61,22 +71,28 @@ def test_packed_matches_the_dict_loop_just_under_the_field_limit(data):
     g = _poly(near([_MAXEXP - t for t in tops]))
     if not f or not g:
         return
-    want = _mul_dict(f._terms, g._terms)
+    want = _mul_dict(f._nums, g._nums)
     for var in range(3):
-        assert _mul_packed(f._terms, g._terms, var) == want
-    assert (f * g)._terms == want
+        assert _mul_packed(f._nums, g._nums, var) == want
+    assert f * g == MultiPoly._raw(MAP_VARS, want, f._den * g._den)
 
 
-_LARGE = _polys(max_exp=6, min_size=25, max_size=40)
+# nonzero coefficients on distinct keys, enough of them that every product
+# reaches _PACK_PAIRS
+_LARGE_SIZE = isqrt(_PACK_PAIRS - 1) + 1
+_LARGE = st.dictionaries(st.tuples(*[st.integers(0, 6)] * 3), _COEFFS.filter(bool),
+                         min_size=_LARGE_SIZE, max_size=_LARGE_SIZE + 20).map(_poly)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_LARGE, _LARGE)
 def test_large_products_take_the_packed_path_and_agree(f, g):
-    if len(f) * len(g) < _PACK_PAIRS:
-        return
-    assert _pack_var(f._terms, g._terms, 3) is not None
-    assert (f * g)._terms == _mul_dict(f._terms, g._terms)
+    assert len(f) * len(g) >= _PACK_PAIRS
+    assert _pack_var(f._nums, g._nums, 3) is not None
+    with mock.patch("charcubic.multipoly._mul_packed", wraps=_mul_packed) as packed:
+        prod = f * g
+    assert packed.call_count == 1
+    assert prod == MultiPoly._raw(MAP_VARS, _mul_dict(f._nums, g._nums), f._den * g._den)
 
 
 def test_cancellations_and_single_terms():
@@ -90,15 +106,17 @@ def test_cancellations_and_single_terms():
         (x**2 * Fraction(2, 3) + y, x * Fraction(3, 2) - z * Fraction(1, 6)),
     ]
     for f, g in cases:
-        want = _mul_dict(f._terms, g._terms)
+        want = _mul_dict(f._nums, g._nums)
         for var in range(3):
-            assert _mul_packed(f._terms, g._terms, var) == want
-    assert _mul_packed((x + 1)._terms, (x - 1)._terms, 0) == (x**2 - 1)._terms
+            assert _mul_packed(f._nums, g._nums, var) == want
+    assert _mul_packed((x + 1)._nums, (x - 1)._nums, 0) == (x**2 - 1)._nums
     # a product with integral coefficients built from rational operands
     half = (x + y) * Fraction(1, 2)
-    prod = _mul_packed(half._terms, (x * 2 - y * 2)._terms, 0)
-    assert prod == (x**2 - y**2)._terms
-    assert all(type(c) is int for c in prod.values())
+    assert half._den == 2
+    prod = MultiPoly._raw(MAP_VARS, _mul_packed(half._nums, (x * 2 - y * 2)._nums, 0),
+                          half._den)
+    assert prod == x**2 - y**2 and prod._den == 1
+    assert all(type(c) is int for _, c in prod.terms())
 
 
 def test_slots_hold_the_largest_coefficient_sum():
@@ -111,19 +129,19 @@ def test_slots_hold_the_largest_coefficient_sum():
         for k in range(1, 40):
             f = ones * (2**k - 1)
             for g in (f, -f):
-                assert _mul_packed(f._terms, g._terms, 0) == _mul_dict(f._terms, g._terms)
+                assert _mul_packed(f._nums, g._nums, 0) == _mul_dict(f._nums, g._nums)
 
 
 def test_pack_var_picks_the_fewest_group_pairs_and_skips_sparse_spans():
     x, y, z = MultiPoly.gens(*MAP_VARS)
     # dense in x, one value each of y and z: packing x leaves one group pair
     f = sum((x**i for i in range(30)), MultiPoly.zero(MAP_VARS)) * y * z
-    assert _pack_var(f._terms, f._terms, 3) == 0
+    assert _pack_var(f._nums, f._nums, 3) == 0
     g = sum((z**i * y**(i % 3) for i in range(30)), MultiPoly.zero(MAP_VARS))
-    assert _pack_var(g._terms, g._terms, 3) == 2
+    assert _pack_var(g._nums, g._nums, 3) == 2
     # exponents 0 and 30000 in every variable: no packing would be dense
     sparse = x**30000 + y**30000 + z**30000 + 1
-    assert _pack_var(sparse._terms, sparse._terms, 3) is None
+    assert _pack_var(sparse._nums, sparse._nums, 3) is None
     assert (sparse * sparse).coefficient((0, 30000, 0)) == 2
 
 
@@ -137,14 +155,74 @@ def _ops(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_ops(), st.integers(0, 3))
-def test_no_integral_fraction_survives_any_operation(ops, n):
+def test_content_form_survives_any_operation(ops, n):
     f, g, c = ops
     x, y, z = MultiPoly.gens(*MAP_VARS)
     results = [f + g, f - g, f * g, f + c, f - c, c - f, f * c, c * f, f ** n,
-               f * Fraction(1, 3) * 3, f.derivative("x"), f.derivative("z"),
-               f.substitute({"x": g, "y": x + c, "z": z * c})]
+               f * Fraction(1, 3) * 3, f - f, f * 0, f + (-f), f.derivative("x"),
+               f.derivative("z"), f.substitute({"x": g, "y": x + c, "z": z * c})]
     for p in results:
-        _check_invariant(p._terms)
+        _check_invariant(p)
+
+
+# -- an independent oracle: a dict from exponent tuples to Fractions ----------
+
+def _o_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _o_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _o_evaluate(a, point):
+    total = Fraction(0)
+    for e, c in a.items():
+        for v, k in zip(point, e):
+            c *= Fraction(v) ** k
+        total += c
+    return total
+
+
+def _o_substitute(a, images):
+    out = {}
+    for e, c in a.items():
+        term = {(0, 0, 0): Fraction(c)}
+        for img, k in zip(images, e):
+            for _ in range(k):
+                term = _o_mul(term, img)
+        out = _o_add(out, term)
+    return out
+
+
+_SMALL_COEFFS = st.one_of(st.integers(-9, 9),
+                          st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+_ORACLE_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _SMALL_COEFFS,
+                                max_size=5).map(
+    lambda d: {e: Fraction(c) for e, c in d.items() if c})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ORACLE_POLYS, _ORACLE_POLYS, _ORACLE_POLYS,
+       st.tuples(*[_SMALL_COEFFS] * 3))
+def test_arithmetic_agrees_with_a_fraction_dict_oracle(a, b, c, point):
+    f, g, h = _poly(a), _poly(b), _poly(c)
+    for got, want in [(f + g, _o_add(a, b)), (f - g, _o_add(a, b, -1)),
+                      (f * g, _o_mul(a, b)),
+                      (f.substitute({"x": g, "y": h, "z": f}), _o_substitute(a, (b, c, a)))]:
+        assert dict(got.terms()) == want
+        _check_invariant(got)
+    value = f.evaluate(dict(zip(MAP_VARS, point)))
+    assert value == _o_evaluate(a, point)
+    assert type(value) is int or value.denominator > 1
 
 
 def test_integer_parameters_keep_integer_coefficients():

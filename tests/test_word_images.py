@@ -94,6 +94,9 @@ def test_apply_word_raises_what_the_map_raises():
         for word in (("alpha", "tau1"), ("tau2", "sigma_x", "tau3")):
             assert _outcome(lambda w: apply_word(w, (0, 0, 0), params), word) == \
                 _outcome(lambda w: word_to_map(w, params)((0, 0, 0)), word)
+    # a permutation letter would carry strings through; they are refused
+    with pytest.raises(TypeError):
+        apply_word(("beta",), ("1", "2", "3"))
 
 
 def test_word_images_match_the_map_on_short_words_and_stable_tails():
