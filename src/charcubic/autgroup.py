@@ -17,7 +17,8 @@ from itertools import permutations, product
 from typing import Optional
 
 from .family import as_params, build_kappa
-from .multipoly import MAP_VARS, MultiPoly, PolyMap, _rational, jacobian_determinant
+from .multipoly import MAP_VARS, MultiPoly, PolyMap, jacobian_determinant
+from .univariate import _exact, _rational
 
 GAMMA_LETTERS = ("alpha", "beta", "gamma", "sigma_x", "sigma_y", "sigma_z")
 TAU_LETTERS = ("tau1", "tau2", "tau3")
@@ -69,7 +70,7 @@ class SignedPerm:
         return PolyMap(comps)
 
     def apply(self, point):
-        point = tuple(point)
+        point = tuple(map(_exact, point))
         return tuple(self.signs[i] * point[self.perm[i]] for i in range(3))
 
     def compose(self, other: "SignedPerm") -> "SignedPerm":

@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 from .family import KappaParams, build_kappa
 from .matrices import Matrix
+from .multipoly import MultiPoly
+from .univariate import _exact, _fraction
 
 
 class Sl2Matrix:
@@ -27,10 +29,7 @@ class Sl2Matrix:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+        self.a, self.b, self.c, self.d = map(_fraction, (a, b, c, d))
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("determinant must be 1, got %s"
                              % (self.a * self.d - self.b * self.c))
@@ -83,18 +82,18 @@ class BoundaryTraces(NamedTuple):
 def traces_to_params(traces):
     """(parameters, S) from four boundary traces.
 
-    Rational traces return (KappaParams, Fraction); any ring elements with
-    +, *, - work (e.g. polynomials), in which case a plain (P, Q, R) tuple
-    comes back instead of KappaParams.
+    Rational traces return (KappaParams, Fraction); when any trace is a
+    MultiPoly the others may be ring elements too, and a plain (P, Q, R)
+    tuple comes back instead of KappaParams.
     """
-    t1, t2, t3, t4 = traces
+    traces = tuple(traces)
+    generic = any(isinstance(t, MultiPoly) for t in traces)
+    t1, t2, t3, t4 = traces if generic else map(_exact, traces)
     p = -(t1 * t2 + t3 * t4)
     q = -(t1 * t4 + t2 * t3)
     r = -(t1 * t3 + t2 * t4)
     s = 2 - t1 * t1 - t2 * t2 - t3 * t3 - t4 * t4 - t1 * t2 * t3 * t4
-    if all(isinstance(t, (int, Fraction)) for t in (t1, t2, t3, t4)):
-        return KappaParams.of(p, q, r), Fraction(s)
-    return (p, q, r), s
+    return ((p, q, r), s) if generic else (KappaParams.of(p, q, r), _fraction(s))
 
 
 class TorusCharacter(NamedTuple):

@@ -28,6 +28,7 @@ from typing import NamedTuple, Optional
 from . import univariate as uni
 from .matrices import Matrix, char_poly
 from .multipoly import MAP_VARS, MultiPoly
+from .univariate import _exact, _fraction
 
 SYMBOLIC_VARS = ("x", "y", "z", "P", "Q", "R")
 
@@ -39,13 +40,11 @@ class KappaParams(NamedTuple):
 
     @classmethod
     def of(cls, p, q, r):
-        return cls(Fraction(p), Fraction(q), Fraction(r))
+        return cls(_fraction(p), _fraction(q), _fraction(r))
 
 
 def as_params(params) -> KappaParams:
-    if isinstance(params, KappaParams):
-        return params
-    p, q, r = params
+    p, q, r = params  # a KappaParams built directly is admitted too
     return KappaParams.of(p, q, r)
 
 
@@ -138,19 +137,14 @@ class CriticalPoint:
             self.degree(), mp, self.multiplicity, val)
 
 
-def _kappa_on_univariate(params, xs, ys, zs, modulus):
-    """kappa_{P,Q,R}(x(s), y(s), z(s)) reduced mod the given monic polynomial."""
+def _kappa_on_curve(params, xs, ys, zs):
+    """kappa_{P,Q,R}(x(s), y(s), z(s)) for ascending coefficient lists over
+    any ring whose elements add and multiply with Fractions."""
     p, q, r = params
-    red = lambda f: uni.poly_mod(f, modulus)
-    acc = red(uni.mul(xs, xs))
-    acc = uni.add(acc, red(uni.mul(ys, ys)))
-    acc = uni.add(acc, red(uni.mul(zs, zs)))
-    acc = uni.sub(acc, red(uni.mul(uni.mul(xs, ys), zs)))
-    acc = uni.sub(acc, uni.scale(xs, p))
-    acc = uni.sub(acc, uni.scale(ys, q))
-    acc = uni.sub(acc, uni.scale(zs, r))
-    acc = uni.sub(acc, [Fraction(2)])
-    return red(acc)
+    acc = uni.add(uni.add(uni.mul(xs, xs), uni.mul(ys, ys)), uni.mul(zs, zs))
+    acc = uni.sub(acc, uni.mul(uni.mul(xs, ys), zs))
+    acc = uni.sub(acc, uni.add(uni.add(uni.scale(xs, p), uni.scale(ys, q)), uni.scale(zs, r)))
+    return uni.sub(acc, [Fraction(2)])
 
 
 def _value_of_class(params, xs, ys, zs, modulus):
@@ -163,7 +157,7 @@ def _value_of_class(params, xs, ys, zs, modulus):
     here (the class description keeps one annihilating polynomial) but are
     split in `critical_values`, which works with root multiplicities.
     """
-    v = _kappa_on_univariate(params, xs, ys, zs, modulus)
+    v = uni.poly_mod(_kappa_on_curve(params, xs, ys, zs), modulus)
     if uni.degree(v) <= 0:
         return (v[0] if v else Fraction(0)), None
     d = uni.degree(modulus)
@@ -241,11 +235,8 @@ def critical_points(params) -> list:
 
 
 def _rational_point(params, pt, multiplicity) -> CriticalPoint:
-    x0, y0, z0 = (Fraction(c) for c in pt)
-    k = build_kappa(params)
-    value = k.evaluate({"x": x0, "y": y0, "z": z0})
-    return CriticalPoint(multiplicity=multiplicity, point=(x0, y0, z0),
-                         value=Fraction(value))
+    value = build_kappa(params).evaluate(dict(zip(MAP_VARS, pt)))
+    return CriticalPoint(multiplicity=multiplicity, point=pt, value=_fraction(value))
 
 
 def _algebraic_generic_point(params, factor, multiplicity) -> CriticalPoint:
@@ -299,19 +290,19 @@ def hessian(params, point) -> tuple:
     The point must be critical; feeding a non-critical point raises ValueError.
     """
     params = as_params(params)
-    x0, y0, z0 = (Fraction(c) for c in point)
+    x0, y0, z0 = map(_fraction, point)
     grad = kappa_gradient(params)
     vals = {"x": x0, "y": y0, "z": z0}
     if any(g.evaluate(vals) != 0 for g in grad):
-        raise ValueError("point (%s, %s, %s) is not critical for parameters %s"
-                         % (x0, y0, z0, tuple(params)))
+        raise ValueError("point (%s, %s, %s) is not critical for parameters (%s, %s, %s)"
+                         % (x0, y0, z0, *params))
     h = Matrix([[2, -z0, -y0], [-z0, 2, -x0], [-y0, -x0, 2]])
     return h, h.det() != 0
 
 
 def fiber_is_smooth(params, t) -> bool:
     """Whether the level set kappa_{P,Q,R} = t misses every critical value."""
-    t = Fraction(t)
+    t = _exact(t)
     for value, _ in critical_values(as_params(params)):
         if isinstance(value, tuple):
             # a rational t cannot be a root of a rational-root-free polynomial,

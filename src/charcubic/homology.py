@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .autgroup import gamma_to_s4
 from .matrices import Matrix, cokernel
+from .univariate import _exact
 
 VANISHING_CYCLE_GRAM = Matrix([
     [-2, 0, 0, 0, 1],
@@ -85,14 +86,14 @@ def link_monodromy(config) -> Matrix:
     """Monodromy of a cyclic configuration of rational curves at infinity:
     the product of [[0, -1], [1, -e]] over the self-intersection numbers e,
     in list order."""
-    config = tuple(config)
+    config = tuple(map(_exact, config))
     if not config:
         raise ValueError("configuration must list at least one self-intersection number")
     m = Matrix.identity(2)
     for e in config:
-        if int(e) != e:
-            raise ValueError("self-intersection numbers must be integers: %r" % (e,))
-        m = m * Matrix([[0, -1], [1, -int(e)]])
+        if e.denominator != 1:
+            raise ValueError("self-intersection numbers must be integers: %s" % (e,))
+        m = m * Matrix([[0, -1], [1, -e.numerator]])
     return m
 
 

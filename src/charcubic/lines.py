@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import univariate as uni
+from .family import _kappa_on_curve
 from .matrices import Matrix
 from .sqrtalgebra import SqrtAlgebraElem, ZeroDivisorError, _sqrt_fraction, instantiation
+from .univariate import _fraction
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ def lines_on_fiber(t) -> list:
     images under the two cyclic coordinate permutations (which preserve the
     fiber).  Raises ValueError at t = +-2 where the fiber is singular.
     """
-    t = Fraction(t)
+    t = _fraction(t)
     if t == 2 or t == -2:
         raise ValueError("fiber at t = %s is singular; no line enumeration" % t)
     zero, one, rm, rp = _elems(t)
@@ -99,9 +101,7 @@ def fiber_residual(line: Line) -> list:
     parameter s over the algebra: ascending coefficients with trailing zeros
     trimmed, so [] exactly when the line lies on the fiber."""
     x, y, z = ([line.base[i], line.direction[i]] for i in range(3))
-    acc = uni.add(uni.add(uni.mul(x, x), uni.mul(y, y)), uni.mul(z, z))
-    acc = uni.sub(acc, uni.mul(uni.mul(x, y), z))
-    return uni.add(acc, [SqrtAlgebraElem(line.t, -2 - line.t)])
+    return uni.sub(_kappa_on_curve((0, 0, 0), x, y, z), [SqrtAlgebraElem(line.t, line.t)])
 
 
 def line_contained_in_fiber(line: Line) -> bool:
@@ -152,7 +152,6 @@ def class_gram(t) -> Matrix:
     """Gram matrix of the five difference classes (L8-L5, L7-L5, L1-L3,
     L2-L3, L5-L4) of z-projection lines, using self-intersection -1 for every
     line and line_incidence for distinct pairs."""
-    t = Fraction(t)
     zl = {ln.label: ln for ln in lines_on_fiber(t) if ln.projection == "z"}
 
     def dot(p, q):

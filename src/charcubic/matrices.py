@@ -5,14 +5,16 @@ pivot chosen as the smallest nonzero entry in absolute value; transforms are
 accumulated so that U * A * V = D with U, V unimodular and the diagonal of D
 a non-negative divisibility chain d1 | d2 | ... .
 
-Args/entry conventions follow the rest of the package: entries are Python ints
-or Fractions, rows are tuples, and matrices are immutable.
+Entries are Python ints or Fractions (admitted by `univariate._exact`, which
+reads a float exactly), rows are tuples, and matrices are immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple, Sequence
+
+from .univariate import _exact
 
 
 class Matrix:
@@ -21,8 +23,7 @@ class Matrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
-        rs = tuple(tuple(e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row)
-                   for row in rows)
+        rs = tuple(tuple(_exact(e) for e in row) for row in rows)
         if not rs or not rs[0]:
             raise ValueError("matrix needs at least one row and one column")
         w = len(rs[0])
@@ -82,16 +83,13 @@ class Matrix:
         return Matrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
                        for row in self.rows])
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # scalars commute with entries
 
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.rows)))
 
     def is_integral(self) -> bool:
-        return all(isinstance(e, int) or e.denominator == 1 for row in self.rows for e in row)
+        return all(e.denominator == 1 for row in self.rows for e in row)
 
     def is_symmetric(self) -> bool:
         n, m = self.shape

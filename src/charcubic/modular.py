@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from .autgroup import GroupWord
 from .matrices import Matrix
+from .univariate import _exact
 
 
 class PglClass:
@@ -26,13 +27,11 @@ class PglClass:
 
     def __init__(self, rows):
         (a, b), (c, d) = rows
-        entries = [a, b, c, d]
-        if any(int(e) != e for e in entries):
+        entries = [_exact(e) for e in (a, b, c, d)]
+        if any(e.denominator != 1 for e in entries):
             raise ValueError("entries must be integers: %r" % (rows,))
-        entries = [int(e) for e in entries]
-        g = 0
-        for e in entries:
-            g = gcd(g, e)
+        entries = [e.numerator for e in entries]
+        g = gcd(*entries)
         if g == 0:
             raise ValueError("zero matrix has no class")
         entries = [e // g for e in entries]

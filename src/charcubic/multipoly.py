@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .univariate import _join_terms
+from .univariate import _exact, _join_terms, _rational
 
 Coeff = Union[int, Fraction]
 
@@ -36,24 +36,6 @@ _MAXEXP = _MASK  # per-variable exponent bound imposed by the packing
 # measured crossover for products of tau-word map components, whose
 # numerators are integers whatever the parameters.
 _PACK_PAIRS = 1500
-
-
-def _exact(c) -> Fraction:
-    """c as an exact Fraction; only ints, Fractions and floats are numbers."""
-    if not isinstance(c, (int, Fraction, float)):
-        raise TypeError("not a rational number: %r" % (c,))
-    return Fraction(c)
-
-
-def _rational(num, den: int = 1) -> Coeff:
-    """num / den as an int when integral, else as a Fraction."""
-    if num.__class__ is int:
-        if den == 1:
-            return num
-        q = Fraction(num, den)
-    else:
-        q = _exact(num) / den
-    return q.numerator if q.denominator == 1 else q
 
 
 def _max_exponents(terms: dict, nv: int) -> list:
@@ -406,7 +388,7 @@ class MultiPoly:
 
     def evaluate(self, values: Mapping[str, Coeff]) -> Coeff:
         """Evaluate at a point; every variable must be assigned a rational."""
-        vals = [values[v] for v in self.vars]
+        vals = [_exact(values[v]) for v in self.vars]
         total: Coeff = 0
         for exps, c in [(self._unpack(k), c) for k, c in self._nums.items()]:
             term = c

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .univariate import _join_terms
+from .univariate import _exact, _fraction, _join_terms
 
 
 class ZeroDivisorError(ArithmeticError):
@@ -32,7 +32,7 @@ def _sqrt_fraction(q: Fraction):
 
 def instantiation(t):
     """(sqrt(t-2), sqrt(t+2)) as rationals when both exist, else None."""
-    t = Fraction(t)
+    t = _exact(t)
     rm = _sqrt_fraction(t - 2)
     rp = _sqrt_fraction(t + 2)
     if rm is None or rp is None:
@@ -44,11 +44,7 @@ class SqrtAlgebraElem:
     __slots__ = ("t", "a", "b", "c", "d")
 
     def __init__(self, t, a=0, b=0, c=0, d=0):
-        self.t = Fraction(t)
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+        self.t, self.a, self.b, self.c, self.d = map(_fraction, (t, a, b, c, d))
 
     @classmethod
     def rational(cls, t, a):
@@ -152,8 +148,7 @@ class SqrtAlgebraElem:
 
     def evaluate(self, rm_value, rp_value):
         """Image under rm -> rm_value, rp -> rp_value (caller picks valid roots)."""
-        rm_value = Fraction(rm_value)
-        rp_value = Fraction(rp_value)
+        rm_value, rp_value = _exact(rm_value), _exact(rp_value)
         return self.a + self.b * rm_value + self.c * rp_value + self.d * rm_value * rp_value
 
     def __eq__(self, other):

@@ -1,4 +1,5 @@
-"""Internal univariate polynomial helpers over exact rationals.
+"""Internal univariate polynomial helpers over exact rationals, and `_exact`,
+the one rule for admitting a number at every public entry point.
 
 A polynomial is a list of coefficients in ascending degree with no trailing
 zeros; [] is the zero polynomial.  Used for the critical-locus eliminant in z:
@@ -9,7 +10,41 @@ Nothing here is part of the public API.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
+
+
+def _exact(c):
+    """c as an exact rational: an int or a Fraction unchanged, a float as the
+    Fraction it denotes; nothing else (a str, a Decimal, a bool) is a number.
+
+    >>> _exact(3), _exact(Fraction(1, 3)), _exact(0.5)
+    (3, Fraction(1, 3), Fraction(1, 2))
+    >>> _exact("1/2")
+    Traceback (most recent call last):
+    TypeError: not a rational number: '1/2'
+    """
+    if c.__class__ is int or c.__class__ is Fraction:
+        return c
+    if c.__class__ is float:
+        return Fraction(c)
+    raise TypeError("not a rational number: %r" % (c,))
+
+
+def _fraction(c) -> Fraction:
+    """_exact(c) as a Fraction, for the classes that store Fractions."""
+    c = _exact(c)
+    return c if c.__class__ is Fraction else Fraction(c)
+
+
+def _rational(num, den: int = 1):
+    """num / den as an int when integral, else as a Fraction."""
+    if num.__class__ is int:
+        if den == 1:
+            return num
+        q = Fraction(num, den)
+    else:
+        q = _exact(num) / den
+    return q.numerator if q.denominator == 1 else q
 
 
 def trim(cs):
@@ -194,13 +229,9 @@ def rational_roots(f):
     if degree(f) < 1:
         return roots, f
     # clear denominators to a primitive integer polynomial
-    den = 1
-    for c in f:
-        den = den * Fraction(c).denominator // _int_gcd(den, Fraction(c).denominator)
-    zf = [int(Fraction(c) * den) for c in f]
-    g = 0
-    for c in zf:
-        g = _int_gcd(g, c)
+    den = _int_lcm(*(c.denominator for c in f))
+    zf = [c.numerator * (den // c.denominator) for c in f]
+    g = _int_gcd(*zf)
     zf = [c // g for c in zf]
     cands = set()
     for p in _divisors(zf[0]):

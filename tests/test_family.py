@@ -103,12 +103,22 @@ def test_algebraic_point_parametrization_satisfies_gradient():
 def test_hessians():
     h, nondegenerate = hessian((0, 0, 0), (2, 2, 2))
     assert h == Matrix([[2, -2, -2], [-2, 2, -2], [-2, -2, 2]])
+    assert [type(e) for e in h.rows[0]] == [int, Fraction, Fraction]  # as demos print it
     assert nondegenerate
     h0, nd0 = hessian((0, 0, 0), (0, 0, 0))
     assert h0 == Matrix.identity(3) * 2
     assert nd0
     with pytest.raises(ValueError):
         hessian((0, 0, 0), (1, 1, 1))  # not a critical point
+
+
+def test_hessian_error_prints_values_not_reprs():
+    with pytest.raises(ValueError) as err:
+        hessian((1, 0, 0), (0, 0, 0))
+    assert str(err.value) == "point (0, 0, 0) is not critical for parameters (1, 0, 0)"
+    with pytest.raises(ValueError) as err:
+        hessian((Fraction(1, 2), 0, 0), (0.5, 0, 0))
+    assert str(err.value) == "point (1/2, 0, 0) is not critical for parameters (1/2, 0, 0)"
 
 
 def test_fiber_smoothness():

@@ -117,7 +117,7 @@ def test_link_monodromy():
     assert p == Matrix.identity(2)
     with pytest.raises(ValueError):
         link_monodromy(())
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         link_monodromy(("x",))
 
 
