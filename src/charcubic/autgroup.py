@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
-from typing import Optional
 
 from .family import as_params, build_kappa
 from .multipoly import MAP_VARS, MultiPoly, PolyMap, jacobian_determinant
@@ -160,17 +159,20 @@ LETTER_SIGNS = {name: jacobian_determinant(generator(name)).constant_value()
 
 @dataclass(frozen=True)
 class GroupWord:
-    """An ordered tuple of letters plus an optional trailing signed permutation
-    (applied first, i.e. rightmost in the composition)."""
+    """An ordered tuple of letters followed by a signed permutation, the tail
+    (applied first, i.e. rightmost in the composition).  A word built without
+    a tail, or with tail None, has the identity tail."""
 
     letters: tuple
-    tail: Optional[SignedPerm] = None
+    tail: SignedPerm = None
 
     def __post_init__(self):
         if isinstance(self.letters, str):
             raise ValueError("a word is a sequence of letters, not the string %r"
                              % self.letters)
         object.__setattr__(self, "letters", tuple(self.letters))
+        if self.tail is None:
+            object.__setattr__(self, "tail", SignedPerm.identity())
         for name in self.letters:
             if name not in ALL_LETTERS:
                 raise ValueError("unknown letter %r" % name)
@@ -185,12 +187,11 @@ class GroupWord:
 
     def is_reduced(self) -> bool:
         """No two consecutive equal quadratic-involution letters."""
-        return all(not (a == b and a in TAU_LETTERS)
-                   for a, b in zip(self.letters, self.letters[1:]))
+        return reduce_tau_word(self.letters) == self.letters
 
     def __str__(self):
         bits = list(self.letters)
-        if self.tail is not None and not self.tail.is_identity():
+        if not self.tail.is_identity():
             bits.append(str(self.tail))
         return " ".join(bits) if bits else "(empty)"
 
@@ -210,7 +211,7 @@ def word_to_map(word, params=(0, 0, 0)) -> PolyMap:
     """Compose the word's letters (and trailing signed permutation) in order."""
     params = as_params(params)
     word = GroupWord.of(word)
-    f = word.tail.to_poly_map() if word.tail is not None else PolyMap.identity()
+    f = word.tail.to_poly_map()
     for name in reversed(word.letters):
         f = _after(name, f, params)
     return f
@@ -223,9 +224,7 @@ def apply_word(word, point, params=(0, 0, 0)) -> tuple:
     word = GroupWord.of(word)
     if len(point) != 3:
         raise ValueError("a point needs three coordinates")
-    point = tuple(_rational(c) for c in point)
-    if word.tail is not None:
-        point = word.tail.apply(point)
+    point = word.tail.apply(tuple(_rational(c) for c in point))
     for name in reversed(word.letters):
         point = _formula(name, params)(*point, *params)
     return tuple(_rational(c) for c in point)
@@ -233,10 +232,13 @@ def apply_word(word, point, params=(0, 0, 0)) -> tuple:
 
 def sign_character(word, params=(0, 0, 0)) -> int:
     """Product of the letters' constant Jacobian determinants, times the
-    trailing permutation's sign; equals the Jacobian of word_to_map."""
+    trailing permutation's sign; equals the Jacobian of word_to_map.  Each
+    letter must exist at the parameters, as in word_to_map."""
+    params = as_params(params)
     word = GroupWord.of(word)
-    sign = word.tail.jacobian_sign() if word.tail is not None else 1
+    sign = word.tail.jacobian_sign()
     for name in word.letters:
+        _formula(name, params)
         sign *= LETTER_SIGNS[name]
     return sign
 
@@ -293,7 +295,7 @@ def gamma_to_s4(f) -> tuple:
 _REPLACED_SLOT_TAU = ("tau2", "tau3", "tau1")  # slot i is rewritten by this letter
 
 
-def horowitz_decompose(f: PolyMap, params=(0, 0, 0), verify_unique=False):
+def horowitz_decompose(f: PolyMap, params=(0, 0, 0)):
     """Normal form of an automorphism: (letters, tail) with
     f = word_to_map(letters, params) o tail and no two consecutive letters equal.
 
@@ -302,8 +304,7 @@ def horowitz_decompose(f: PolyMap, params=(0, 0, 0), verify_unique=False):
     (minus the old component), so the degree can only drop when slot i is the
     strict maximum — for any other slot the new degree is the exact sum of the
     other two component degrees, which already exceeds the maximum.  The loop
-    therefore composes only the one candidate; with verify_unique=True it
-    instead composes all three and checks directly that exactly one reduces.
+    therefore composes only that one candidate.
 
     The affine residue is looked up among the 48 signed-permutation maps, and
     only the match is checked against the family member (one kappa
@@ -317,32 +318,20 @@ def horowitz_decompose(f: PolyMap, params=(0, 0, 0), verify_unique=False):
     letters = []
     g = f
     while g.degree() > 1:
-        if verify_unique:
-            reducers = [(name, _after(name, g, params)) for name in TAU_LETTERS]
-            reducers = [(n, c) for n, c in reducers if c.degree() < g.degree()]
-            if len(reducers) > 1:
-                raise ArithmeticError("degree reduction is not unique at %s" % g)
-            if not reducers:
-                raise ValueError("reduction stalls at degree %d: "
-                                 "map is not in the involution-generated group" % g.degree())
-            name, g = reducers[0]
-        else:
-            degs = g.component_degrees()
-            top = max(degs)
-            slots = [i for i, d in enumerate(degs) if d == top]
-            if len(slots) != 1:
-                raise ValueError("reduction stalls: tied component degrees %s" % (degs,))
-            name = _REPLACED_SLOT_TAU[slots[0]]
-            candidate = _after(name, g, params)
-            if candidate.degree() >= g.degree():
-                raise ValueError("reduction stalls at degree %d: "
-                                 "map is not in the involution-generated group" % g.degree())
-            g = candidate
+        degs = g.component_degrees()
+        if degs.count(max(degs)) != 1:
+            raise ValueError("reduction stalls: tied component degrees %s" % (degs,))
+        name = _REPLACED_SLOT_TAU[degs.index(max(degs))]
+        candidate = _after(name, g, params)
+        if candidate.degree() >= g.degree():
+            raise ValueError("reduction stalls at degree %d: "
+                             "map is not in the involution-generated group" % g.degree())
+        g = candidate
         letters.append(name)
-    tail = next((sp for sp, sp_map in _SIGNED_PERMS if sp_map == g), None)
-    if tail is None or not tail.preserves(params):
-        raise ValueError("affine residue %s does not preserve the family member" % g)
-    return tuple(letters), tail
+    for tail, tail_map in _SIGNED_PERMS:
+        if tail_map == g and tail.preserves(params):
+            return tuple(letters), tail
+    raise ValueError("affine residue %s does not preserve the family member" % g)
 
 
 def dehn_twist(name: str, params=(0, 0, 0)) -> PolyMap:

@@ -110,10 +110,8 @@ def _cmd_aut_apply(args) -> int:
 
 
 def _cmd_aut_decompose(args) -> int:
-    letters, tail = horowitz_decompose(parse_poly_map(args.map), args.params,
-                                       verify_unique=args.verify_unique)
-    word = GroupWord(letters, tail)
-    tokens = word_tokens(word)
+    letters, tail = horowitz_decompose(parse_poly_map(args.map), args.params)
+    tokens = word_tokens(GroupWord(letters, tail))
     lines = ["word: %s" % (" ".join(letters) if letters else "(empty)"),
              "tail: %s" % str(tail),
              "tokens: %s" % (tokens if tokens else "(empty)")]
@@ -287,8 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ad.add_argument("--map", required=True, metavar='"f1; f2; f3"')
     ad.add_argument("--params", type=parse_triple, default=(0, 0, 0),
                     metavar="P,Q,R")
-    ad.add_argument("--verify-unique", action="store_true",
-                    help="re-check at each step that only one letter reduces degree")
     ad.set_defaults(handler=_cmd_aut_decompose)
 
     hom = sub.add_parser("homology", help="degree-2 homology representation")

@@ -97,7 +97,7 @@ class Matrix:
                               for i in range(n) for j in range(i))
 
     def det(self):
-        """Exact determinant by fraction-free elimination."""
+        """Exact determinant by Gaussian elimination over Fractions."""
         n, m = self.shape
         if n != m:
             raise ValueError("determinant of a non-square matrix")

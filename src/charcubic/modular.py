@@ -97,13 +97,12 @@ _PERM_CLASSES = {perm: PglClass(rows) for perm, rows in {
 
 
 def word_to_pgl(word) -> PglClass:
-    """Product of the letters' matrices in word order, as a class."""
+    """Product of the letters' matrices in word order, then the tail's, as a
+    class; built from the right, starting at the tail."""
     word = GroupWord.of(word)
-    m = PglClass.identity()
-    for name in word.letters:
-        m = m * _LETTER_CLASSES[name]
-    if word.tail is not None:
-        m = m * _PERM_CLASSES[word.tail.perm]
+    m = _PERM_CLASSES[word.tail.perm]
+    for name in reversed(word.letters):
+        m = _LETTER_CLASSES[name] * m
     return m
 
 

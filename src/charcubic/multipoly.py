@@ -79,16 +79,19 @@ def _pack_groups(nums: dict, shift: int, width: int) -> tuple:
 
 def _pack_var(a: dict, b: dict, nv: int) -> Optional[int]:
     """The variable to pack: the one leaving the fewest group pairs, among
-    those whose exponents span no more slots than each operand has terms (so
-    a packed int is not mostly empty slots); None when no variable qualifies."""
+    those where each operand's terms fill at least one in eight of its slots
+    (groups times exponent span, so dense operands such as powers of x + y + z
+    stay in the dict loop); None when no variable qualifies."""
     best = None
     for i in range(nv):
         shift = _FIELD * i
-        spans = [{(k >> shift) & _MASK for k in t} for t in (a, b)]
-        if any(max(es) - min(es) >= len(t) for es, t in zip(spans, (a, b))):
-            continue
         keep = ~(_MASK << shift)
-        pairs = len({k & keep for k in a}) * len({k & keep for k in b})
+        spans = [{(k >> shift) & _MASK for k in t} for t in (a, b)]
+        groups = [len({k & keep for k in t}) for t in (a, b)]
+        if any(8 * len(t) < n * (max(es) - min(es) + 1)
+               for t, n, es in zip((a, b), groups, spans)):
+            continue
+        pairs = groups[0] * groups[1]
         if best is None or pairs < best[0]:
             best = (pairs, i)
     return None if best is None else best[1]

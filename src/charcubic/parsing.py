@@ -97,14 +97,19 @@ def _tokenize(s: str) -> list:
     return tokens
 
 
+# a level of parentheses costs five stack frames: well inside the recursion limit
+_MAX_NESTING = 100
+
+
 class _PolyParser:
     """expr := term (('+'|'-') term)* ; term := unary ('*' unary)* ;
-    unary := ('+'|'-') unary | power ; power := atom ('^' integer)? ;
+    unary := ('+'|'-')* power ; power := atom ('^' integer)? ;
     atom := number | variable | '(' expr ')'"""
 
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.variables = tuple(variables)
 
     def _peek(self):
@@ -146,12 +151,14 @@ class _PolyParser:
                 return e
 
     def unary(self):
+        negate = False
         t = self._peek()
-        if t and t[0] == "op" and t[1] in "+-":
+        while t and t[0] == "op" and t[1] in "+-":
             self._next()
-            e = self.unary()
-            return e if t[1] == "+" else -e
-        return self.power()
+            negate ^= t[1] == "-"
+            t = self._peek()
+        e = self.power()
+        return -e if negate else e
 
     def power(self):
         e = self.atom()
@@ -174,7 +181,12 @@ class _PolyParser:
                 raise ParseError("unknown variable %r at position %d" % (t[1], t[2]))
             return MultiPoly.variable(t[1], self.variables)
         if t[0] == "op" and t[1] == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError("parentheses nested more than %d deep at position %d"
+                                 % (_MAX_NESTING, t[2]))
+            self.depth += 1
             e = self.expr()
+            self.depth -= 1
             closing = self._next()
             if closing[0] != "op" or closing[1] != ")":
                 raise ParseError("expected ')' at position %d" % closing[2])
@@ -251,6 +263,6 @@ def parse_word(s: str) -> GroupWord:
 def word_tokens(word: GroupWord) -> str:
     """Inverse of parse_word on canonical forms."""
     bits = [LETTER_TO_TOKEN[name] for name in word.letters]
-    if word.tail is not None and not word.tail.is_identity():
+    if not word.tail.is_identity():
         bits.append(str(word.tail))
     return " ".join(bits)

@@ -1,11 +1,39 @@
-"""Terminal summary for the acceptance suite.
+"""Shared test oracle and the terminal summary for the acceptance suite.
 
-Collects the outcome and call duration of every test_criterion_* test in
-test_acceptance.py and prints one verdict line per criterion, with its
-seconds, after the normal pytest output.
+The `horowitz_oracle` fixture is the brute-force form of Horowitz reduction.
+The terminal summary collects the outcome and call duration of every
+test_criterion_* test in test_acceptance.py and prints one verdict line per
+criterion, with its seconds, after the normal pytest output.
 """
 
 import os
+
+import pytest
+
+from charcubic.autgroup import TAU_LETTERS, affine_stabilizer, generator
+
+
+def _horowitz_by_brute_force(f, params=(0, 0, 0)):
+    """(letters, tail) of f, found by composing all three involutions at every
+    step and demanding that exactly one of them lowers the degree: the plain
+    path that horowitz_decompose's one-candidate loop must agree with."""
+    letters = []
+    g = f
+    while g.degree() > 1:
+        reducers = [(name, generator(name, params) @ g) for name in TAU_LETTERS]
+        reducers = [(n, c) for n, c in reducers if c.degree() < g.degree()]
+        assert len(reducers) == 1, "%d reducing letters at %s" % (len(reducers), g)
+        name, g = reducers[0]
+        letters.append(name)
+    tails = [sp for sp in affine_stabilizer(params) if sp.to_poly_map() == g]
+    assert len(tails) == 1, "affine residue %s is not a stabilizer element" % g
+    return tuple(letters), tails[0]
+
+
+@pytest.fixture
+def horowitz_oracle():
+    return _horowitz_by_brute_force
+
 
 _TITLES = {
     1: "critical locus at the origin parameters",

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import charcubic
-from charcubic.autgroup import SignedPerm, word_to_map
+from charcubic.autgroup import SignedPerm, sign_character, word_to_map
 from charcubic.characters import Sl2Matrix, traces_to_params
 from charcubic.family import (KappaParams, as_params, build_kappa, critical_points,
                               critical_values, eliminant, fiber_is_smooth, hessian)
@@ -45,6 +45,7 @@ ENTRY_POINTS = [
      lambda v: build_kappa((1, 2, 3)).evaluate({"x": v, "y": 1, "z": 2}), 0.1),
     ("PolyMap.__call__", lambda v: word_to_map(("tau1", "alpha"))((v, 1, 2)), 0.1),
     ("SignedPerm.apply", lambda v: SignedPerm((1, 0, 2), (1, -1, 1)).apply((v, 1, 2)), 0.1),
+    ("sign_character", lambda v: sign_character(("tau1", "tau2"), (v, 0, 0)), 0.1),
     ("Matrix", lambda v: Matrix([[v, 1], [2, 3]]), 0.1),
     ("Sl2Matrix", lambda v: _sl2(Sl2Matrix(v, 1, -1, 0)), 0.1),
     ("KappaParams.of", lambda v: KappaParams.of(v, 1, 0), 0.1),

@@ -1,7 +1,8 @@
 """Golden outputs of the command line: every subcommand in text and --json.
 
 Each case records the exit code and stdout byte for byte (and stderr for
-domain errors, whose messages come from the library).  The files under
+domain errors and for parse errors raised by charcubic's own parsers, whose
+messages are charcubic's, not argparse's).  The files under
 tests/golden/ were captured from the implementation before a refactor and
 must not change unless an output change is intended.  To re-capture after a
 deliberate change, run
@@ -39,7 +40,7 @@ _COMMANDS = [
     ("aut_apply_perm", ["aut", "apply", "--word", "perm(yxz)", "--point", "1,2,3"]),
     ("aut_decompose", ["aut", "decompose", "--map", _MAP_X]),
     ("aut_decompose_tail", ["aut", "decompose", "--map",
-                            "-y; -x*y^2 + y*z + x; x*y - z", "--verify-unique"]),
+                            "-y; -x*y^2 + y*z + x; x*y - z"]),
     ("homology_action", ["homology", "action", "--word", "t1 t2 g b"]),
     ("homology_action_tail", ["homology", "action", "--word", "t1 a t3 perm(yxz)flip(xy)"]),
     ("homology_form", ["homology", "form", "--basis", "alpha"]),
@@ -63,6 +64,10 @@ _COMMANDS = [
     ("err_domain_gram", ["lines", "--t", "3", "--gram"]),
     # exit 2: a parameter triple with two entries
     ("err_parse", ["singular", "--params", "1,2"]),
+    # exit 2: parentheses nested past the parser's bound
+    ("err_parse_nesting", ["aut", "check", "--map", "(" * 200 + "x" + ")" * 200 + "; y; z"]),
+    # exit 2: the flag that picked a second reduction path is gone
+    ("err_usage_verify_unique", ["aut", "decompose", "--map", _MAP_X, "--verify-unique"]),
 ]
 
 CASES = [(name, argv) for name, argv in _COMMANDS] + \
@@ -128,7 +133,7 @@ def _capture():
         code, out, err = run_case(argv)
         meta[name] = {"argv": argv, "exit": code}
         (GOLDEN / (name + ".out")).write_bytes(out.encode())
-        if code == 1:  # domain errors: the message is library text
+        if code == 1 or err.startswith("parse error: "):  # charcubic's messages
             (GOLDEN / (name + ".err")).write_bytes(err.encode())
     (GOLDEN / "cases.json").write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
 

@@ -5,7 +5,7 @@ exponent-overflow guard."""
 import contextlib
 import io
 from fractions import Fraction
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from unittest import mock
 
 import pytest
@@ -143,6 +143,23 @@ def test_pack_var_picks_the_fewest_group_pairs_and_skips_sparse_spans():
     sparse = x**30000 + y**30000 + z**30000 + 1
     assert _pack_var(sparse._nums, sparse._nums, 3) is None
     assert (sparse * sparse).coefficient((0, 30000, 0)) == 2
+
+
+def test_dense_products_take_the_dict_loop_and_agree():
+    # (x + y + z)^30 has 496 terms, one per group whichever variable is
+    # packed, so packing would fill 1 slot in 31
+    x, y, z = MultiPoly.gens(*MAP_VARS)
+    f = (x + y + z) ** 30
+    g = f * 3 - x**30
+    for a, b in ((f, f), (f, g)):
+        assert len(a) * len(b) >= _PACK_PAIRS
+        assert _pack_var(a._nums, b._nums, 3) is None
+        with mock.patch("charcubic.multipoly._mul_packed", wraps=_mul_packed) as packed, \
+                mock.patch("charcubic.multipoly._mul_dict", wraps=_mul_dict) as loop:
+            prod = a * b
+        assert packed.call_count == 0 and loop.call_count == 1
+        assert prod == MultiPoly._raw(MAP_VARS, _mul_dict(a._nums, b._nums), a._den * b._den)
+    assert (f * f).coefficient((20, 20, 20)) == comb(60, 20) * comb(40, 20)
 
 
 @st.composite

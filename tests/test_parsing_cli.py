@@ -51,6 +51,28 @@ def test_parse_poly():
             parse_poly(bad)
 
 
+def test_deep_nesting_is_a_parse_error_not_a_recursion_error():
+    x = MultiPoly.variable("x", MAP_VARS)
+    deep = "(" * 10_000 + "x" + ")" * 10_000
+    with pytest.raises(ParseError, match="^parentheses nested more than 100 deep "
+                                         "at position 100$"):
+        parse_poly(deep)
+    assert parse_poly("(" * 100 + "x" + ")" * 100) == x
+    # a run of signs is read in a loop, so any number of them parses
+    assert parse_poly("-" * 10_000 + "x") == x
+    assert parse_poly("-" * 10_001 + "x") == -x
+    assert parse_poly("+-" * 5_000 + "(x + 1)^2") == (x + 1) ** 2
+
+
+def test_cli_refuses_deep_nesting_with_exit_2(capsys):
+    deep = "(" * 10_000 + "x" + ")" * 10_000
+    assert run(["aut", "check", "--map", deep + "; y; z"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("parse error: parentheses nested more than 100 deep "
+                            "at position 100\n")
+
+
 def test_parse_poly_reports_positions():
     with pytest.raises(ParseError) as err:
         parse_poly("x + q")
@@ -123,11 +145,7 @@ def test_word_print_parse_round_trip():
             tuple(rng.choice(letters) for _ in range(rng.randint(0, 6))),
             SignedPerm(rng.choice(perms),
                        rng.choice(((1, 1, 1), (-1, -1, 1), (1, -1, -1)))))
-        tokens = word_tokens(word)
-        back = parse_word(tokens)
-        assert back.letters == word.letters
-        assert back.tail == word.tail or (back.tail is None
-                                          and word.tail.is_identity())
+        assert parse_word(word_tokens(word)) == word
 
 
 def test_parser_fuzzing_never_panics():
@@ -233,6 +251,7 @@ def test_cli_exit_codes(capsys):
     for argv in (["kappa", "eval", "--params", "0,0", "--point", "0,0,0"],
                  ["aut", "apply", "--word", "q7"],
                  ["singular", "--params", "a,b,c"],
+                 ["aut", "decompose", "--map", "x; y; z", "--verify-unique"],
                  ["nonsense"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)

@@ -175,6 +175,14 @@ def test_word_machinery():
     w = GroupWord(("tau1", "tau2", "tau1"))
     assert len(w) == 3 and w.is_reduced()
     assert not GroupWord(("tau1", "tau1")).is_reduced()
+    assert GroupWord(("alpha", "alpha", "tau2")).is_reduced()  # only tau letters cancel
+    for letters in product(TAU_LETTERS + ("beta",), repeat=3):
+        adjacent = any(a == b and a in TAU_LETTERS for a, b in zip(letters, letters[1:]))
+        assert GroupWord(letters).is_reduced() == (not adjacent)
+    # a word without a tail has the identity tail, however it was built
+    assert w.tail == SignedPerm() and GroupWord(w.letters, None) == w
+    assert GroupWord(w.letters, SignedPerm.identity()) == w
+    assert hash(GroupWord(w.letters, SignedPerm())) == hash(w)
     assert reduce_tau_word(("tau1", "tau1", "tau2")) == ("tau2",)
     assert reduce_tau_word(("tau1", "tau2", "tau2", "tau1")) == ()
     assert str(GroupWord(())) == "(empty)"
@@ -196,6 +204,19 @@ def test_word_to_map_and_sign_character():
         w2 = rand_reduced_word(rng, rng.randint(1, 3))
         assert word_to_map(word + w2, params) == \
             word_to_map(word, params) @ word_to_map(w2, params)
+
+
+def test_sign_character_checks_its_parameters():
+    msg = "^letter 'alpha' is only defined at parameters \\(0, 0, 0\\)$"
+    for fn in (sign_character, word_to_map):
+        with pytest.raises(ValueError, match=msg):
+            fn(("alpha",), (1, 0, 0))
+    assert sign_character(("alpha",), (0, 0, 0)) == sign_character(("alpha",)) == 1
+    assert sign_character(("tau1",), (1, 0, 0)) == -1
+    with pytest.raises(ValueError):
+        sign_character(("tau1",), (1, 0))
+    with pytest.raises(TypeError, match="not a rational number"):
+        sign_character(("tau1",), ("a", "b", "c"))
 
 
 def test_dehn_twist_shapes():
@@ -223,14 +244,19 @@ def test_horowitz_round_trip_small():
         assert word_to_map(got_word, params) @ got_tail.to_poly_map() == f
 
 
-def test_horowitz_verify_unique_agrees():
+def test_horowitz_verify_unique_agrees(horowitz_oracle):
     rng = random.Random(36)
     for _ in range(10):
         params = rand_params(rng)
         word = rand_reduced_word(rng, 5)
-        f = word_to_map(word, params)
-        assert horowitz_decompose(f, params, verify_unique=True) == \
-            horowitz_decompose(f, params)
+        tail = rng.choice(affine_stabilizer(params))
+        f = word_to_map(GroupWord(word, tail), params)
+        assert horowitz_oracle(f, params) == horowitz_decompose(f, params) == (word, tail)
+
+
+def test_horowitz_has_no_second_path():
+    with pytest.raises(TypeError):
+        horowitz_decompose(generator("tau1"), (0, 0, 0), verify_unique=True)
 
 
 def test_horowitz_accepts_pure_stabilizer():
