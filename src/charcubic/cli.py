@@ -3,11 +3,16 @@
 Every subcommand accepts --json for machine-readable output; the default is
 aligned human-readable text.  Exit codes: 0 success, 1 domain error (an input
 that parses but is outside an operation's domain), 2 parse / usage error.
+
+The argument parser is built once per process, on the first call to `run`,
+and reused after that: `run` may be called any number of times in one
+process, and each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -17,11 +22,11 @@ from .autgroup import (GroupWord, apply_word, horowitz_decompose,
                        is_automorphism, word_to_map)
 from .characters import (BoundaryTraces, Sl2Matrix, sphere_character,
                          torus_character, traces_to_params)
-from .family import build_kappa, critical_points, critical_values
+from .family import _group_values, build_kappa, critical_points
 from .homology import (basis_change, homology_action, intersection_form,
                        link_h1, link_monodromy)
-from .lines import class_gram, lines_on_fiber
-from .matrices import Matrix, cokernel, smith_normal_form
+from .lines import _class_gram, lines_on_fiber
+from .matrices import Matrix, _snf_cokernel, smith_normal_form
 from .parsing import (ParseError, parse_int_list, parse_matrix, parse_poly_map,
                       parse_rational, parse_triple, parse_word, word_tokens)
 
@@ -69,7 +74,7 @@ def _cmd_kappa_eval(args) -> int:
 
 def _cmd_singular(args) -> int:
     pts = critical_points(args.params)
-    values = critical_values(args.params)
+    values = _group_values(pts)
     lines = ["critical points (%d classes):" % len(pts)]
     lines += ["  " + str(cp) for cp in pts]
     lines.append("critical values:")
@@ -163,7 +168,7 @@ def _cmd_lines(args) -> int:
     lines += ["  " + str(ln) for ln in lns]
     payload = {"t": str(args.t), "lines": [ln.to_jsonable() for ln in lns]}
     if args.gram:
-        g = class_gram(args.t)
+        g = _class_gram(lns)
         lines.append("class Gram matrix:")
         lines += ["  " + row for row in _matrix_lines(g)]
         payload["class_gram"] = _int_rows(g)
@@ -212,7 +217,7 @@ def _cmd_snf(args) -> int:
     res = smith_normal_form(args.matrix)
     n = min(res.d.shape)
     diag = [int(res.d[i, i]) for i in range(n)]
-    free_rank, torsion = cokernel(args.matrix)
+    free_rank, torsion = _snf_cokernel(res.d)
     lines = ["diagonal: %s" % ", ".join(str(d) for d in diag),
              "cokernel free rank: %d" % free_rank,
              "cokernel torsion: %s" % (", ".join(str(t) for t in torsion) or "none")]
@@ -234,6 +239,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="charcubic",

@@ -265,10 +265,14 @@ def critical_values(params) -> list:
     an irrational conjugate class of values appears as (coefficient tuple of
     its monic rational-root-free annihilating polynomial, total).
     """
-    params = as_params(params)
+    return _group_values(critical_points(params))
+
+
+def _group_values(points) -> list:
+    """critical_values of a list of critical points (see critical_values)."""
     grouped = {}
     residual = []
-    for cp in critical_points(params):
+    for cp in points:
         if cp.value is not None:
             grouped[cp.value] = grouped.get(cp.value, 0) + cp.weight()
             continue

@@ -152,7 +152,12 @@ def class_gram(t) -> Matrix:
     """Gram matrix of the five difference classes (L8-L5, L7-L5, L1-L3,
     L2-L3, L5-L4) of z-projection lines, using self-intersection -1 for every
     line and line_incidence for distinct pairs."""
-    zl = {ln.label: ln for ln in lines_on_fiber(t) if ln.projection == "z"}
+    return _class_gram(lines_on_fiber(t))
+
+
+def _class_gram(lns) -> Matrix:
+    """class_gram of a fiber from its lines, as lines_on_fiber lists them."""
+    zl = {ln.label: ln for ln in lns if ln.projection == "z"}
 
     def dot(p, q):
         if p == q:

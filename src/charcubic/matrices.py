@@ -242,12 +242,15 @@ def cokernel(m: Matrix) -> tuple:
     Returns (free_rank, torsion) with torsion the invariant factors > 1 in
     divisibility order.
     """
-    d, _, _ = smith_normal_form(m)
+    return _snf_cokernel(smith_normal_form(m).d)
+
+
+def _snf_cokernel(d: Matrix) -> tuple:
+    """cokernel of a matrix from the diagonal factor d of its Smith form."""
     diag = diagonal_of(d)
-    n = m.shape[0]
     rank = sum(1 for e in diag if e)
     torsion = tuple(e for e in diag if e > 1)
-    return (n - rank, torsion)
+    return (d.shape[0] - rank, torsion)
 
 
 def char_poly(m: Matrix) -> list:

@@ -126,6 +126,18 @@ def test_cli_output_matches_golden(name, argv):
         assert err.encode() == stderr
 
 
+def test_reused_parser_keeps_no_state_between_calls():
+    # reversed, usage errors and parse errors raised inside argparse type
+    # converters run right before successful calls of other subcommands
+    for name, argv in 2 * CASES[::-1]:
+        meta, stdout, stderr = _expected(name)
+        code, out, err = run_case(argv)
+        assert code == meta["exit"], name
+        assert out.encode() == stdout, name
+        if stderr is not None:
+            assert err.encode() == stderr, name
+
+
 def _capture():
     GOLDEN.mkdir(exist_ok=True)
     meta = {}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charcubic import cli
 from charcubic.autgroup import (ALL_LETTERS, GroupWord, SignedPerm, dehn_twist,
                                 word_to_map)
 from charcubic.cli import run
@@ -257,6 +258,43 @@ def test_cli_exit_codes(capsys):
             run(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_cli_builds_its_parser_once(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *a, **k):
+        built.append(self)
+        init(self, *a, **k)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    argvs = [["kappa", "eval", "--params", "1,0,0", "--point", "1/2,0,0"],
+             ["singular", "--params", "0,0,0"],
+             ["aut", "check", "--map", "y; x; x*y - z"],
+             ["aut", "apply", "--word", "a", "--point", "1,2,3"],
+             ["aut", "decompose", "--map", "x; x^2*y - x*z - y; x*y - z"],
+             ["homology", "action", "--word", "t1 t2 g b"],
+             ["homology", "form", "--basis", "alpha"],
+             ["homology", "change-of-basis"],
+             ["link", "monodromy", "--euler", "-2,-3,-1"],
+             ["link", "h1"],
+             ["lines", "--t", "17/4"],
+             ["traces", "--boundary", "1,2,-3,1/2"],
+             ["witness", "torus", "--A", "1,1;0,1", "--B", "2,1;1,1"],
+             ["witness", "sphere", "--D1", "1,1;0,1", "--D2", "1,0;-1,1",
+              "--D3", "2,1;1,1"],
+             ["snf", "--matrix", "2,4,4;-6,6,12;10,-4,-16"],
+             ["lines", "--t", "2"],
+             ["aut", "apply", "--word", "a t1", "--params", "1,0,0",
+              "--point", "0,0,0"]]
+    argvs += argvs[:3]
+    assert len(argvs) == 20
+    assert run(argvs[0]) == 0
+    count = len(built)
+    for argv in argvs[1:]:
+        assert run(argv) in (0, 1), argv
+    assert len(built) == count
 
 
 def test_cli_deterministic_output(capsys):
