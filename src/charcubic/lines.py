@@ -3,9 +3,15 @@
 For each coordinate projection the fiber kappa = t carries eight lines in the
 four planes where the projected coordinate equals +-2 or +-sqrt(t+2); their
 coefficients live in the algebra generated by rm = sqrt(t-2) and rp =
-sqrt(t+2), or in Q itself when both square roots are rational.  Incidence of
-two lines (affine meeting point, or a shared direction at infinity) assembles
-the Gram matrix of the five standard difference classes.
+sqrt(t+2), or in Q itself when both square roots are rational.
+
+Lemma: the section by a plane z = c has quadratic part x^2 - c x y + y^2, so
+its lines point at the roots of w^2 - c w + 1 at infinity.  Lines in distinct
+parallel planes thus never meet, not even at infinity, and coplanar lines
+always do: two distinct lines of one projection meet iff they share the plane
+constant.  The class Gram compares those constants; `line_incidence` decides
+any pair in the algebra and is the rule's oracle.  `_decidable` is the only
+refusal, raised by both at the same levels.
 """
 
 from __future__ import annotations
@@ -76,23 +82,25 @@ def lines_on_fiber(t) -> list:
     two = SqrtAlgebraElem(t, 2)
 
     z_lines = [
-        Line("L1", "z", t, (rm, zero, two), (one, one, zero), "z = " + str(two)),
-        Line("L2", "z", t, (-rm, zero, two), (one, one, zero), "z = " + str(two)),
-        Line("L3", "z", t, (zero, zero, rp), (a_plus, one, zero), "z = " + str(rp)),
-        Line("L4", "z", t, (zero, zero, rp), (a_minus, one, zero), "z = " + str(rp)),
-        Line("L5", "z", t, (zero, zero, -rp), (-a_plus, one, zero), "z = " + str(-rp)),
-        Line("L6", "z", t, (zero, zero, -rp), (-a_minus, one, zero), "z = " + str(-rp)),
-        Line("L7", "z", t, (rm, zero, -two), (-one, one, zero), "z = " + str(-two)),
-        Line("L8", "z", t, (-rm, zero, -two), (-one, one, zero), "z = " + str(-two)),
+        ("L1", (rm, zero, two), (one, one, zero)),
+        ("L2", (-rm, zero, two), (one, one, zero)),
+        ("L3", (zero, zero, rp), (a_plus, one, zero)),
+        ("L4", (zero, zero, rp), (a_minus, one, zero)),
+        ("L5", (zero, zero, -rp), (-a_plus, one, zero)),
+        ("L6", (zero, zero, -rp), (-a_minus, one, zero)),
+        ("L7", (rm, zero, -two), (-one, one, zero)),
+        ("L8", (-rm, zero, -two), (-one, one, zero)),
     ]
-    out = list(z_lines)
     # cyclic images: (x,y,z) -> (z,x,y) moves the constant coordinate to x,
     # (x,y,z) -> (y,z,x) moves it to y; both preserve kappa
-    for proj, shuffle in (("x", lambda v: (v[2], v[0], v[1])),
+    out = []
+    for proj, shuffle in (("z", lambda v: v),
+                          ("x", lambda v: (v[2], v[0], v[1])),
                           ("y", lambda v: (v[1], v[2], v[0]))):
-        for ln in z_lines:
-            out.append(Line(ln.label, proj, t, shuffle(ln.base), shuffle(ln.direction),
-                            proj + ln.plane[1:]))
+        for label, base, direction in z_lines:
+            base = shuffle(base)
+            out.append(Line(label, proj, t, base, shuffle(direction),
+                            "%s = %s" % (proj, base["xyz".index(proj)])))
     return out
 
 
@@ -109,8 +117,9 @@ def line_contained_in_fiber(line: Line) -> bool:
 
 
 def _decidable(t):
-    """Incidence needs either a rational instantiation or a zero-divisor-free
-    algebra: all of t-2, t+2, (t-2)(t+2) must be rational non-squares."""
+    """The one refusal of incidence and the class Gram: they need a rational
+    instantiation or a zero-divisor-free algebra, in which all of t-2, t+2
+    and (t-2)(t+2) are rational non-squares."""
     if instantiation(t) is not None:
         return
     if (_sqrt_fraction(t - 2) is None and _sqrt_fraction(t + 2) is None
@@ -151,18 +160,17 @@ _CLASS_PAIRS = (("L8", "L5"), ("L7", "L5"), ("L1", "L3"), ("L2", "L3"), ("L5", "
 def class_gram(t) -> Matrix:
     """Gram matrix of the five difference classes (L8-L5, L7-L5, L1-L3,
     L2-L3, L5-L4) of z-projection lines, using self-intersection -1 for every
-    line and line_incidence for distinct pairs."""
+    line and, for distinct pairs, 1 exactly when they share a plane."""
     return _class_gram(lines_on_fiber(t))
 
 
 def _class_gram(lns) -> Matrix:
     """class_gram of a fiber from its lines, as lines_on_fiber lists them."""
     zl = {ln.label: ln for ln in lns if ln.projection == "z"}
+    _decidable(zl["L1"].t)
 
     def dot(p, q):
-        if p == q:
-            return -1
-        return line_incidence(zl[p], zl[q])
+        return -1 if p == q else int(zl[p].base[2] == zl[q].base[2])
 
     rows = []
     for (a, b) in _CLASS_PAIRS:

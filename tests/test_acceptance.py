@@ -270,6 +270,9 @@ def test_criterion_08_lines_and_class_gram():
         # the zero polynomial, coefficient for coefficient
         assert all(c.is_zero() for c in fiber_residual(ln))
     assert class_gram(t) == Q_VC
+    # an irrational level, a second rational instantiation and a negative level
+    for t in (5, Fraction(257, 16), Fraction(-37, 5)):
+        assert class_gram(t) == Q_VC
 
 
 def test_criterion_09_torus_and_sphere_trace_identities():

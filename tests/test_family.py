@@ -110,6 +110,10 @@ def test_hessians():
     assert nd0
     with pytest.raises(ValueError):
         hessian((0, 0, 0), (1, 1, 1))  # not a critical point
+    # at parameters (-1, -1, 1) the critical point (-1, -1, 1) has multiplicity 2
+    h2, nd2 = hessian((-1, -1, 1), (-1, -1, 1))
+    assert h2.det() == 0
+    assert nd2 is False
 
 
 def test_hessian_error_prints_values_not_reprs():

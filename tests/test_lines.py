@@ -1,17 +1,25 @@
 """The 24 lines on a smooth fiber, incidence counts, and the class Gram matrix."""
 
+import contextlib
 import dataclasses
+import io
 from fractions import Fraction
+from functools import cache
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from charcubic import cli
+from charcubic import lines as lines_module
 from charcubic import univariate as uni
-from charcubic.homology import VANISHING_CYCLE_GRAM
+from charcubic.autgroup import apply_word
+from charcubic.homology import VANISHING_CYCLE_GRAM, homology_action
 from charcubic.lines import (class_gram, fiber_residual, line_contained_in_fiber,
                              line_incidence, lines_on_fiber)
-from charcubic.sqrtalgebra import SqrtAlgebraElem, ZeroDivisorError
+from charcubic.matrices import Matrix
+from charcubic.sqrtalgebra import SqrtAlgebraElem, ZeroDivisorError, instantiation
 
 T = Fraction(17, 4)
 
@@ -144,3 +152,141 @@ def test_biquadratic_field_case_decidable():
             if a.label != b.label:
                 seen.add(line_incidence(a, b))
     assert seen <= {0, 1}
+
+
+# the five difference classes of class_gram, as its docstring lists them
+_CLASSES = (("L8", "L5"), ("L7", "L5"), ("L1", "L3"), ("L2", "L3"), ("L5", "L4"))
+
+
+def _incidence_gram(t):
+    """The class Gram from line_incidence on the z-lines: the algebra's
+    answer, which raises its ZeroDivisorError where it does not decide."""
+    zl = {ln.label: ln for ln in lines_on_fiber(t) if ln.projection == "z"}
+
+    @cache
+    def meet(p, q):
+        return line_incidence(zl[p], zl[q])
+
+    def dot(p, q):
+        return -1 if p == q else meet(*sorted((p, q)))
+
+    return Matrix([[dot(a, c) - dot(a, d) - dot(b, c) + dot(b, d) for c, d in _CLASSES]
+                   for a, b in _CLASSES])
+
+
+def _is_rational_square(q):
+    n, d = q.numerator, q.denominator
+    return n >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
+
+
+def _refused_by_isqrt_rule(t):
+    """No rational instantiation, yet one of t-2, t+2, (t-2)(t+2) is a square."""
+    m, p = _is_rational_square(t - 2), _is_rational_square(t + 2)
+    return not (m and p) and (m or p or _is_rational_square((t - 2) * (t + 2)))
+
+
+_q = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_nonzero = _q.filter(bool)
+_levels = st.one_of(
+    _q,
+    _q.map(lambda s: s * s + 2),                      # t - 2 a square
+    _q.map(lambda s: s * s - 2),                      # t + 2 a square
+    _nonzero.map(lambda u: u / 2 + 2 / u),            # t^2 - 4 a square
+    _nonzero.map(lambda v: ((4 / v - v) / 2) ** 2 + 2),  # t - 2 and t + 2 squares
+).filter(lambda t: t not in (2, -2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_levels)
+@example(T)
+@example(Fraction(3))
+@example(Fraction(5))
+@example(Fraction(-37, 5))
+def test_class_gram_agrees_with_incidence_oracle(t):
+    try:
+        expected, refusal = _incidence_gram(t), None
+    except ZeroDivisorError as exc:
+        expected, refusal = None, str(exc)
+    assert (refusal is not None) == _refused_by_isqrt_rule(t)
+    if refusal is None:
+        assert class_gram(t) == expected == VANISHING_CYCLE_GRAM
+    else:
+        with pytest.raises(ZeroDivisorError) as info:
+            class_gram(t)
+        assert str(info.value) == refusal
+
+
+def test_cli_gram_asks_the_algebra_nothing(monkeypatch):
+    calls = []
+    real = lines_module.line_incidence
+    monkeypatch.setattr(lines_module, "line_incidence",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["lines", "--t", "17/4", "--gram"]) == 0
+    assert calls == []
+    assert "class Gram matrix:" in out.getvalue()
+
+
+def test_plane_text_names_the_plane_constant():
+    for t in (T, 5):
+        for ln in lines_on_fiber(t):
+            k = "xyz".index(ln.projection)
+            assert ln.plane == "%s = %s" % (ln.projection, ln.base[k])
+            assert ln.direction[k].is_zero()
+
+
+def _on_line(ln, point):
+    w = [c - b for c, b in zip(point, ln.base)]
+    u = ln.direction
+    return all(c.is_zero() for c in (w[1] * u[2] - w[2] * u[1],
+                                     w[2] * u[0] - w[0] * u[2],
+                                     w[0] * u[1] - w[1] * u[0]))
+
+
+def _class_coords(label):
+    """A z-line's class on the basis (H, L1, L3, L5, L7), where H is the
+    common class L1+L2 = L3+L4 = L5+L6 = L7+L8 of the four planes."""
+    k = int(label[1:])
+    v = [0] * 5
+    if k % 2:
+        v[(k + 1) // 2] = 1
+    else:
+        v[0], v[k // 2] = 1, -1
+    return v
+
+
+@pytest.mark.parametrize("t", [T, Fraction(257, 16)])
+@pytest.mark.parametrize("letter", ["tau2", "tau3"])
+def test_letter_action_on_lines_is_its_homology_action(t, letter):
+    roots = instantiation(t)
+    zl = [ln for ln in lines_on_fiber(t) if ln.projection == "z"]
+    image = {}
+    for ln in zl:
+        points = [tuple((b + s * d).evaluate(*roots) for b, d in zip(ln.base, ln.direction))
+                  for s in (0, 1)]
+        moved = [apply_word((letter,), pt) for pt in points]
+        hits = [m for m in zl if all(_on_line(m, pt) for pt in moved)]
+        assert len(hits) == 1
+        image[ln.label] = hits[0]
+    # the letter swaps the two lines of every plane z = c
+    for ln in zl:
+        assert image[ln.label].label != ln.label
+        assert image[ln.label].base[2] == ln.base[2]
+    columns = [[x - y for x, y in zip(_class_coords(a), _class_coords(b))]
+               for a, b in _CLASSES]
+    moved = [[x - y for x, y in zip(_class_coords(image[a].label),
+                                    _class_coords(image[b].label))]
+             for a, b in _CLASSES]
+    classes = Matrix(columns).transpose()
+    # the plane relations leave the five classes one relation, and it is the
+    # radical of Q_vc, so the induced map is compared modulo the radical
+    radical = Matrix([[1], [1], [1], [1], [2]])
+    assert classes * radical == Matrix.zero(5, 1)
+    assert VANISHING_CYCLE_GRAM * radical == Matrix.zero(5, 1)
+    first_four = Matrix([row[:4] for row in classes.to_lists()])
+    assert (first_four.transpose() * first_four).det() != 0
+    # classes * action == the pushed-forward classes, column by column
+    action = homology_action((letter,))
+    assert classes * action == Matrix(moved).transpose()
+    assert action == -Matrix.identity(5)

@@ -58,6 +58,8 @@ def test_characters():
     ch3 = pgl_characters(word_to_pgl(("beta",)))
     assert mod2_cycle_string(ch3.mod2) == "(e1 e1+e2 e2)"
     assert ch3.congruence_member is False
+    # b even but c odd: membership needs both off-diagonal entries even
+    assert pgl_characters(PglClass(((1, 0), (1, 1)))).congruence_member is False
     ch4 = pgl_characters(word_to_pgl(("alpha",)))
     assert mod2_cycle_string(ch4.mod2) == "(e1 e2)"
 
